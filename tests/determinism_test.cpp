@@ -49,6 +49,71 @@ std::uint64_t alltoall_digest(Backend backend) {
   return trace_digest(*m.trace());
 }
 
+/// Four ranks: ranks 1-3 each start nine nonblocking sends to rank 0 (empty,
+/// eager and rendezvous sizes over three tags) while rank 0 computes, so they
+/// all land in the early-arrival queue. Rank 0 then drains the queue with
+/// iprobe and receives by exact, then wildcard, selectors, one of them
+/// truncating. Then rank 0 polls iprobe while a truncated eager streams into
+/// a bound early-arrival entry, and while a burst of 24 mixed-size eagers
+/// from rank 1 arrives (skewed routes reorder it, so on LAPI some park),
+/// receiving half as they show up and the rest after a pause.
+std::uint64_t unexpected_digest(Backend backend) {
+  MachineConfig cfg;
+  cfg.trace_enabled = true;
+  cfg.route_skew_ns = 20'000;
+  Machine m(cfg, 4, backend);
+  m.run([](Mpi& mpi) {
+    using sp::mpi::kAnySource;
+    using sp::mpi::kAnyTag;
+    auto& w = mpi.world();
+    constexpr std::size_t kSizes[] = {0, 2048, 16384};
+    std::vector<std::byte> buf(16384, std::byte{1});
+    if (w.rank() != 0) {
+      std::vector<sp::mpi::Request> reqs;
+      for (int i = 0; i < 9; ++i) {
+        reqs.push_back(
+            mpi.isend(buf.data(), kSizes[i % 3], sp::mpi::Datatype::kByte, 0, i % 3, w));
+      }
+      mpi.waitall(reqs.data(), reqs.size());
+      if (w.rank() != 1) return;
+      mpi.recv(buf.data(), 1, sp::mpi::Datatype::kByte, 0, 8, w);
+      mpi.send(buf.data(), 2048, sp::mpi::Datatype::kByte, 0, 7, w);
+      mpi.recv(buf.data(), 1, sp::mpi::Datatype::kByte, 0, 8, w);
+      reqs.clear();
+      for (int i = 0; i < 24; ++i) {
+        reqs.push_back(mpi.isend(buf.data(), 64 + 173 * static_cast<std::size_t>(i),
+                                 sp::mpi::Datatype::kByte, 0, 9, w));
+      }
+      mpi.waitall(reqs.data(), reqs.size());
+      return;
+    }
+    mpi.compute(500'000);
+    sp::mpi::Status st;
+    for (int i = 0; i < 27; ++i) {
+      const int src = i < 6 ? 1 + i % 3 : kAnySource;
+      const int tag = i < 6 ? i % 3 : kAnyTag;
+      if (!mpi.iprobe(src, tag, w, &st)) mpi.probe(src, tag, w, &st);
+      const std::size_t cap = i == 10 ? 1000 : buf.size();
+      mpi.recv(buf.data(), cap, sp::mpi::Datatype::kByte, src, tag, w, &st);
+    }
+    auto trunc = mpi.irecv(buf.data(), 1000, sp::mpi::Datatype::kByte, 1, 7, w);
+    mpi.send(buf.data(), 1, sp::mpi::Datatype::kByte, 1, 8, w);
+    while (!mpi.test(trunc)) (void)mpi.iprobe(kAnySource, kAnyTag, w, &st);
+    mpi.send(buf.data(), 1, sp::mpi::Datatype::kByte, 1, 8, w);
+    for (int got = 0; got < 12;) {
+      if (mpi.iprobe(kAnySource, 9, w, &st)) {
+        mpi.recv(buf.data(), buf.size(), sp::mpi::Datatype::kByte, kAnySource, 9, w);
+        ++got;
+      }
+    }
+    mpi.compute(300'000);
+    for (int i = 0; i < 12; ++i) {
+      mpi.recv(buf.data(), buf.size(), sp::mpi::Datatype::kByte, kAnySource, kAnyTag, w);
+    }
+  });
+  return trace_digest(*m.trace());
+}
+
 // Golden digests captured from the seed event engine (std::function +
 // std::push_heap). Any change to the event queue or packet path must leave
 // the processing order — and therefore these digests — bit-identical. If a
@@ -73,6 +138,40 @@ TEST(Determinism, AlltoallTraceIsReproducible) {
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, kGoldenAlltoallEnhanced)
       << "event order changed: 0x" << std::hex << first;
+}
+
+// Per-backend goldens for the three workloads, captured before the MPCI
+// matching queues moved into the Channel base. Every channel's matching
+// charge lands in its trace timestamps, so a change to the shared matching
+// layer that shifts a charge on any channel fails here.
+struct BackendGolden {
+  Backend backend;
+  std::uint64_t pingpong;
+  std::uint64_t alltoall;
+  std::uint64_t unexpected;
+};
+// Columns: ping-pong, alltoall, early-arrival.
+constexpr BackendGolden kBackendGoldens[] = {
+    {Backend::kNativePipes, 0x3f333bf1a8768d7cULL, 0x68c5cfbd86ab4256ULL,
+     0x08921f677b4b28efULL},
+    {Backend::kLapiBase, 0x1f97ebc81776ab27ULL, 0xee8fe08c88885c72ULL, 0xd0c95168b6b59fa8ULL},
+    {Backend::kLapiCounters, 0x0b609ba452ec6d27ULL, 0x68b69362e3ac73b3ULL,
+     0x5dd0bd6ccf9dfa88ULL},
+    {Backend::kLapiEnhanced, kGoldenPingPongEnhanced, kGoldenAlltoallEnhanced,
+     0x231634add2411628ULL},
+    {Backend::kRdma, 0xd435c793485db02fULL, 0x0091fec7782b0306ULL, 0xbe2f8e0ef95f4657ULL},
+};
+
+TEST(Determinism, EveryBackendMatchesItsGoldenDigests) {
+  for (const BackendGolden& g : kBackendGoldens) {
+    SCOPED_TRACE(sp::mpi::backend_name(g.backend));
+    const std::uint64_t pp = pingpong_digest(g.backend);
+    const std::uint64_t a2a = alltoall_digest(g.backend);
+    const std::uint64_t ea = unexpected_digest(g.backend);
+    EXPECT_EQ(pp, g.pingpong) << "ping-pong event order changed: 0x" << std::hex << pp;
+    EXPECT_EQ(a2a, g.alltoall) << "alltoall event order changed: 0x" << std::hex << a2a;
+    EXPECT_EQ(ea, g.unexpected) << "early-arrival event order changed: 0x" << std::hex << ea;
+  }
 }
 
 TEST(Determinism, NativePipesTraceIsReproducible) {
