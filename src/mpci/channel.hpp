@@ -1,18 +1,23 @@
 // MPCI channel interface: the point-to-point message layer with matching and
-// early-arrival buffering. Two implementations exist, mirroring Fig. 1 of the
-// paper: PipesChannel (the native stack, Fig. 1a) and LapiChannel (the new
-// thin MPCI over LAPI, Fig. 1c, in its Base / Counters / Enhanced versions).
+// early-arrival buffering. The matching engine — the posted-receive queue,
+// the early-arrival (EA) queue and the operations on them — lives here, once,
+// as in §4 of the paper; three transports implement the rest, mirroring
+// Fig. 1: PipesChannel (the native stack, Fig. 1a), LapiChannel (the new thin
+// MPCI over LAPI, Fig. 1c, in its Base / Counters / Enhanced versions) and
+// RdmaChannel (an RDMA/NIC-offload adapter, DESIGN.md §14).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "lapi/wire.hpp"
 #include "mpci/bsend_pool.hpp"
 #include "mpci/envelope.hpp"
 #include "mpci/request.hpp"
@@ -52,8 +57,9 @@ class Channel {
   virtual void on_thread_start() {}
 
   /// Nonblocking probe: is a matchable unexpected message pending? Fills
-  /// `st` (source, tag, length) without consuming the message.
-  [[nodiscard]] virtual bool iprobe(int ctx, int src_sel, int tag_sel, Status* st) = 0;
+  /// `st` (source, tag, length) without consuming the message. Selects the
+  /// same entry post_recv would (select_ea).
+  [[nodiscard]] bool iprobe(int ctx, int src_sel, int tag_sel, Status* st);
 
   /// Rank-order combine for the NIC-resident allreduce: fold `from` (the
   /// higher-rank operand) into `into` (the lower-rank accumulator).
@@ -88,7 +94,8 @@ class Channel {
   [[nodiscard]] sim::SimCondition& arrival_cond() noexcept { return arrival_cond_; }
 
   /// One completed receive, as observed by the conformance explorer. The
-  /// per-(ctx, src) envelope sequence identifies the message, so grouping
+  /// envelope sequence (per source task -> destination task, shared across
+  /// contexts) orders one source's messages to this task, so grouping
   /// records by (ctx, src, tag) and sorting by seq recovers the match order
   /// MPI non-overtaking mandates — a channel-invariant observable, unlike the
   /// global cross-source completion interleaving.
@@ -127,6 +134,64 @@ class Channel {
   [[nodiscard]] std::int64_t ea_nacks() const noexcept { return ea_nacks_; }
 
  protected:
+  // --- Matching engine ----------------------------------------------------
+
+  /// An unexpected (early-arrival) message, a rendezvous request-to-send
+  /// waiting for its receive, or a matched message detoured through an EA
+  /// buffer (truncation / matched while its payload is still arriving).
+  struct EaEntry {
+    Envelope env;
+    int src_task = 0;               ///< Sender's task id (transport address).
+    std::vector<std::byte> data{};  ///< EA buffer (eager payload).
+    bool arrived = false;           ///< Payload fully received.
+    bool is_rts = false;            ///< RTS, or a NACKed eager turned pseudo-RTS.
+    bool matchable = true;          ///< LAPI: false while parked for sequence order.
+    bool counted = false;           ///< Whether `data` is EA-accounted.
+    RecvReq* bound = nullptr;       ///< Receive that matched while arriving.
+    lapi::Cntr* watch = nullptr;    ///< LAPI Counters: arrival signal.
+    lapi::Token token = 0;          ///< RDMA RTS: sender's registered region.
+  };
+
+  /// Match an arriving envelope against the posted receives (first posted
+  /// wins); removes and returns the receive, or null. Charges the scan.
+  [[nodiscard]] RecvReq* match_posted(const Envelope& env);
+
+  /// Choose the EA entry a receive or probe with these selectors takes, or
+  /// ea_.end(); charges a scan of the whole queue. Parked and bound entries
+  /// never match. The rule: take the first matching entry in queue order,
+  /// then replace it by any matching entry from the same source task with
+  /// a lower seq — i.e. the lowest-seq match from the first-matching source.
+  /// For [A5, B1, A3] that is A3, not B1: legal MPI, since only per-source
+  /// order is mandated. On the ordered transports (Pipes stream, RC-QP) one
+  /// source's entries already sit in ascending seq order, so the rule
+  /// reduces to first match there.
+  [[nodiscard]] std::list<EaEntry>::iterator select_ea(int ctx, int src_sel, int tag_sel);
+
+  /// Queue an entry; publishes the arrival unless it is parked or bound.
+  EaEntry& queue_ea(EaEntry&& e);
+
+  /// Remove `e` from the EA queue, releasing its EA bytes and returning the
+  /// sender's credit for a consumed eager or NACK-served data.
+  void erase_ea(EaEntry& e);
+
+  /// Copy a (fully arrived) EA payload into the receive, complete it and
+  /// erase the entry.
+  void deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context);
+
+  /// deliver_from_ea if the payload has arrived, else bind the receive so
+  /// the arrival delivers it.
+  void deliver_or_bind(RecvReq& req, EaEntry& e, bool app_context);
+
+  /// Complete `req` with `env` (visible through the wake gate); truncated
+  /// when the message is longer than the receive buffer.
+  void publish_recv_complete(RecvReq& req, const Envelope& env);
+
+  /// Tell the sender of `sreq` that its message was fully received.
+  void send_recv_done(int src_task, std::uint32_t sreq);
+
+  /// Modeled CPU time of copying `bytes` (one memcpy call).
+  [[nodiscard]] sim::TimeNs copy_cost(std::size_t bytes) const;
+
   /// Charge the cost of scanning `entries` queue entries plus locking.
   void charge_match_event(int entries) {
     note_match(entries);
@@ -236,9 +301,12 @@ class Channel {
     }
   }
 
-  /// Receiver-side: one eager from `src_task` (or the rendezvous data
-  /// serving its NACK) is fully consumed; return credit per the mode.
+  /// Receiver-side: a message from `src_task` is fully consumed. If it was
+  /// an eager (or the rendezvous data serving a NACKed eager), return credit
+  /// per the mode; other kinds earn none.
   void ea_note_retired(int src_task, const Envelope& env) {
+    const bool eager = env.kind == static_cast<std::uint8_t>(EnvKind::kEager);
+    if (!eager && (env.flags & kFlagNackServed) == 0) return;
     if (env.len == 0 || (env.flags & kFlagReady) != 0) return;
     Envelope c;
     c.kind = static_cast<std::uint8_t>(EnvKind::kEaCredit);
@@ -291,6 +359,8 @@ class Channel {
 
   sim::NodeRuntime& node_;
   int num_tasks_;
+  std::list<RecvReq*> posted_;
+  std::list<EaEntry> ea_;
   BsendPool bsend_;
   sim::SimCondition arrival_cond_;
   std::vector<MatchRecord>* match_log_ = nullptr;

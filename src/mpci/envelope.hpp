@@ -36,7 +36,8 @@ struct Envelope {
   std::uint16_t ctx = 0;       ///< Communicator context id.
   std::uint16_t src = 0;       ///< Sender rank (within ctx == task id here).
   std::int32_t tag = 0;
-  std::uint32_t seq = 0;       ///< Per-(src,ctx) matching order (non-overtaking).
+  std::uint32_t seq = 0;       ///< Per-(src task, dst task) send order, shared
+                               ///< across contexts (non-overtaking).
   std::uint32_t len = 0;       ///< Message payload length.
   std::uint32_t sreq = 0;      ///< Sender-side request id (for CTS / RecvDone).
   std::uint32_t rreq = 0;      ///< Receiver-side request id (for RtsData).

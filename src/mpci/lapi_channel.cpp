@@ -1,18 +1,11 @@
 #include "mpci/lapi_channel.hpp"
 
 #include <cassert>
-#include <cmath>
-#include <cstring>
 #include <utility>
 
 namespace sp::mpci {
 
 namespace {
-[[nodiscard]] sim::TimeNs copy_cost(const sim::MachineConfig& cfg, std::size_t bytes) {
-  return cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
-}
-
 constexpr std::uint64_t kRingExchangeBase = 0xC0DE0000ULL;
 }  // namespace
 
@@ -220,22 +213,6 @@ void LapiChannel::send_cts(int dst_task, std::uint32_t sreq, RecvReq& r) {
 // Receive side: header handlers
 // ---------------------------------------------------------------------------
 
-RecvReq* LapiChannel::match_posted(const Envelope& env) {
-  int scanned = 0;
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    ++scanned;
-    RecvReq* r = *it;
-    if (r->ctx == env.ctx && (r->src_sel == kAnySource || r->src_sel == env.src) &&
-        (r->tag_sel == kAnyTag || r->tag_sel == env.tag)) {
-      posted_.erase(it);
-      charge_match_event(scanned);
-      return r;
-    }
-  }
-  charge_match_event(scanned);
-  return nullptr;
-}
-
 lapi::Lapi::HeaderHandlerResult LapiChannel::hh_eager(int origin, const std::byte* uhdr,
                                                       std::size_t uhdr_len,
                                                       std::size_t total) {
@@ -260,47 +237,27 @@ lapi::Lapi::HeaderHandlerResult LapiChannel::hh_eager(int origin, const std::byt
 
   // Out of order: park. The payload still reassembles into an EA buffer; the
   // envelope becomes matchable only when its predecessors have been seen.
-  auto e = std::make_unique<EaEntry>();
-  e->env = env;
-  e->src_task = origin;
-  e->matchable = false;
-  e->is_rts = env.kind == static_cast<std::uint8_t>(EnvKind::kRts);
-  EaEntry* ep = e.get();
-  if (!e->is_rts) {
-    if (!try_ea_reserve(env.len)) {
-      // EA pool exhausted: refuse the eager. It parks as a pseudo-RTS (the
-      // sequence gate still applies); the payload reassembles into scratch
-      // that is dropped, and the sender re-sends from its retained copy once
-      // the pseudo-RTS matches (previously this was fatal).
-      e->is_rts = true;
-      e->arrived = true;
-      parked_[static_cast<std::size_t>(origin)].emplace(env.seq, ep);
-      ea_.push_back(std::move(e));
-      return nack_result(origin, env, total);
-    }
-    e->counted = true;
-    e->data.resize(env.len);
-  } else {
-    e->arrived = true;
+  auto& parked = parked_[static_cast<std::size_t>(origin)];
+  const bool is_rts = env.kind == static_cast<std::uint8_t>(EnvKind::kRts);
+  if (is_rts || !try_ea_reserve(env.len)) {
+    // An RTS carries no payload. An eager refused because the EA pool is
+    // exhausted parks as a pseudo-RTS (the sequence gate still applies); its
+    // payload reassembles into scratch that is dropped, and the sender
+    // re-sends from its retained copy once the pseudo-RTS matches.
+    parked.emplace(env.seq, &queue_ea({.env = env,
+                                       .src_task = origin,
+                                       .arrived = true,
+                                       .is_rts = true,
+                                       .matchable = false}));
+    return is_rts ? lapi::Lapi::HeaderHandlerResult{} : nack_result(origin, env, total);
   }
-  parked_[static_cast<std::size_t>(origin)].emplace(env.seq, ep);
-  ea_.push_back(std::move(e));
-
-  lapi::Lapi::HeaderHandlerResult res;
-  res.buffer = ep->data.data();
-  if (ep->is_rts) return res;
-  if (variant_ == LapiVariant::kCounters) {
-    ep->watch = ring_slot(origin, env.cntr_slot);
-  } else {
-    res.inline_completion = variant_ == LapiVariant::kEnhanced;
-    res.completion = [this, ep](void*) {
-      node_.publish([this, ep] {
-        ep->arrived = true;
-        if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-      });
-    };
-  }
-  return res;
+  EaEntry& e = queue_ea({.env = env,
+                         .src_task = origin,
+                         .data = std::vector<std::byte>(env.len),
+                         .matchable = false,
+                         .counted = true});
+  parked.emplace(env.seq, &e);
+  return reassemble_into_ea(e);
 }
 
 lapi::Lapi::HeaderHandlerResult LapiChannel::process_in_order(const Envelope& env,
@@ -318,13 +275,8 @@ lapi::Lapi::HeaderHandlerResult LapiChannel::process_in_order(const Envelope& en
       res.inline_completion = variant_ == LapiVariant::kEnhanced;
       res.completion = [this, origin, sreq = env.sreq, r](void*) { send_cts(origin, sreq, *r); };
     } else {
-      auto e = std::make_unique<EaEntry>();
-      e->env = env;
-      e->src_task = origin;
-      e->is_rts = true;
-      e->arrived = true;
-      ea_.push_back(std::move(e));
-      publish_arrival();
+      // An RTS carries no payload.
+      queue_ea({.env = env, .src_task = origin, .arrived = true, .is_rts = true});
     }
     return res;
   }
@@ -332,59 +284,23 @@ lapi::Lapi::HeaderHandlerResult LapiChannel::process_in_order(const Envelope& en
   // Eager message.
   assert(env.kind == static_cast<std::uint8_t>(EnvKind::kEager));
   RecvReq* r = match_posted(env);
-  if (r != nullptr && env.len <= r->cap) {
-    res.buffer = r->buf;
-    if (variant_ == LapiVariant::kCounters) {
-      setup_counters_recv(*r, origin, env);
-    } else {
-      res.inline_completion = variant_ == LapiVariant::kEnhanced;
-      res.completion = [this, r, env, origin](void*) {
-        publish_recv_complete(*r, env);
-        maybe_retire(origin, env);
-      };
-    }
-    return res;
-  }
+  if (r != nullptr && env.len <= r->cap) return reassemble_into_recv(*r, origin, env);
   if (r == nullptr && (env.flags & kFlagReady) != 0) {
     throw FatalMpiError("ready-mode message arrived before its receive was posted");
   }
   if (r == nullptr && !try_ea_reserve(env.len)) {
     // EA pool exhausted: refuse the eager — it stays behind as a matchable
     // pseudo-RTS served from the sender's retained copy (previously fatal).
-    auto e = std::make_unique<EaEntry>();
-    e->env = env;
-    e->src_task = origin;
-    e->is_rts = true;
-    e->arrived = true;
-    ea_.push_back(std::move(e));
-    publish_arrival();
+    queue_ea({.env = env, .src_task = origin, .arrived = true, .is_rts = true});
     return nack_result(origin, env, total);
   }
 
   // Early arrival (or truncation detour).
-  auto e = std::make_unique<EaEntry>();
-  e->env = env;
-  e->src_task = origin;
-  e->bound = r;  // non-null on truncation
-  if (r == nullptr) e->counted = true;  // the try_ea_reserve above succeeded
-  e->data.resize(total);
-  EaEntry* ep = e.get();
-  ea_.push_back(std::move(e));
-  if (ep->bound == nullptr) publish_arrival();
-  res.buffer = ep->data.data();
-  if (variant_ == LapiVariant::kCounters) {
-    ep->watch = ring_slot(origin, env.cntr_slot);
-    if (ep->bound != nullptr) bind_counters_ea(*ep->bound, *ep);
-  } else {
-    res.inline_completion = variant_ == LapiVariant::kEnhanced;
-    res.completion = [this, ep](void*) {
-      node_.publish([this, ep] {
-        ep->arrived = true;
-        if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-      });
-    };
-  }
-  return res;
+  return reassemble_into_ea(queue_ea({.env = env,
+                                      .src_task = origin,
+                                      .data = std::vector<std::byte>(total),
+                                      .counted = r == nullptr,  // the try_ea_reserve above succeeded
+                                      .bound = r}));            // non-null on truncation
 }
 
 void LapiChannel::drain_parked(int origin) {
@@ -401,34 +317,30 @@ void LapiChannel::drain_parked(int origin) {
     parked.erase(it);
     ++expected;
     e->matchable = true;
-    match_parked_entry(*e);
+    RecvReq* r = match_posted(e->env);
+    if (r != nullptr) {
+      take_ea(*r, *e, /*app_context=*/false);
+      continue;
+    }
+    if (!e->is_rts && (e->env.flags & kFlagReady) != 0) {
+      throw FatalMpiError("ready-mode message arrived before its receive was posted");
+    }
+    publish_arrival();  // stays in the EA queue, now matchable
   }
 }
 
-void LapiChannel::match_parked_entry(EaEntry& e) {
-  RecvReq* r = match_posted(e.env);
-  if (r == nullptr) {
-    if (!e.is_rts && (e.env.flags & kFlagReady) != 0) {
-      throw FatalMpiError("ready-mode message arrived before its receive was posted");
-    }
-    publish_arrival();
-    return;  // stays in the EA queue, now matchable
-  }
+void LapiChannel::take_ea(RecvReq& req, EaEntry& e, bool app_context) {
   if (e.is_rts) {
-    r->status = Status{static_cast<int>(e.env.src), e.env.tag, e.env.len};
-    send_cts(e.src_task, e.env.sreq, *r);
-    erase_ea(&e);
+    req.status = Status{static_cast<int>(e.env.src), e.env.tag, e.env.len};
+    send_cts(e.src_task, e.env.sreq, req);
+    erase_ea(e);
     return;
   }
   if (variant_ == LapiVariant::kCounters) {
-    bind_counters_ea(*r, e);
+    bind_counters_ea(req, e);
     return;
   }
-  if (e.arrived) {
-    deliver_from_ea(*r, e, /*app_context=*/false);
-  } else {
-    e.bound = r;
-  }
+  deliver_or_bind(req, e, app_context);
 }
 
 lapi::Lapi::HeaderHandlerResult LapiChannel::hh_cts(int origin, const std::byte* uhdr,
@@ -488,57 +400,48 @@ lapi::Lapi::HeaderHandlerResult LapiChannel::hh_rtsdata(int origin, const std::b
   RecvReq* r = it->second;
   rreqs_.erase(it);
 
-  lapi::Lapi::HeaderHandlerResult res;
-  if (env.len <= r->cap) {
-    res.buffer = r->buf;
-    if (variant_ == LapiVariant::kCounters) {
-      setup_counters_recv(*r, origin, env);
-    } else {
-      res.inline_completion = variant_ == LapiVariant::kEnhanced;
-      res.completion = [this, r, env, origin](void*) {
-        publish_recv_complete(*r, env);
-        maybe_retire(origin, env);
-      };
-    }
-    return res;
-  }
+  if (env.len <= r->cap) return reassemble_into_recv(*r, origin, env);
   // Truncation detour.
-  auto e = std::make_unique<EaEntry>();
-  e->env = env;
-  e->src_task = origin;
-  e->bound = r;
-  e->data.resize(total);
-  EaEntry* ep = e.get();
-  ea_.push_back(std::move(e));
-  res.buffer = ep->data.data();
-  if (variant_ == LapiVariant::kCounters) {
-    ep->watch = ring_slot(origin, env.cntr_slot);
-    bind_counters_ea(*r, *ep);
-  } else {
-    res.inline_completion = variant_ == LapiVariant::kEnhanced;
-    res.completion = [this, ep](void*) {
-      node_.publish([this, ep] {
-        ep->arrived = true;
-        deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-      });
-    };
-  }
-  return res;
+  return reassemble_into_ea(queue_ea(
+      {.env = env, .src_task = origin, .data = std::vector<std::byte>(total), .bound = r}));
 }
 
 // ---------------------------------------------------------------------------
 // Completion plumbing
 // ---------------------------------------------------------------------------
 
-void LapiChannel::publish_recv_complete(RecvReq& req, const Envelope& env) {
-  node_.publish([this, &req, env] {
-    req.complete = true;
-    req.truncated = env.len > req.cap;
-    req.status = Status{static_cast<int>(env.src), env.tag,
-                        std::min<std::size_t>(env.len, req.cap)};
-    note_recv_complete(env.ctx, env.src, env.tag, env.seq, env.len);
-    req.cond.notify_all(node_.sim);
-  });
+lapi::Lapi::HeaderHandlerResult LapiChannel::reassemble_into_recv(RecvReq& r, int origin,
+                                                                  const Envelope& env) {
+  lapi::Lapi::HeaderHandlerResult res;
+  res.buffer = r.buf;
+  if (variant_ == LapiVariant::kCounters) {
+    setup_counters_recv(r, origin, env);
+    return res;
+  }
+  res.inline_completion = variant_ == LapiVariant::kEnhanced;
+  res.completion = [this, &r, env, origin](void*) {
+    publish_recv_complete(r, env);
+    ea_note_retired(origin, env);
+  };
+  return res;
+}
+
+lapi::Lapi::HeaderHandlerResult LapiChannel::reassemble_into_ea(EaEntry& e) {
+  lapi::Lapi::HeaderHandlerResult res;
+  res.buffer = e.data.data();
+  if (variant_ == LapiVariant::kCounters) {
+    e.watch = ring_slot(e.src_task, e.env.cntr_slot);
+    if (e.bound != nullptr) bind_counters_ea(*e.bound, e);
+    return res;
+  }
+  res.inline_completion = variant_ == LapiVariant::kEnhanced;
+  res.completion = [this, ep = &e](void*) {
+    node_.publish([this, ep] {
+      ep->arrived = true;
+      if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
+    });
+  };
+  return res;
 }
 
 void LapiChannel::setup_counters_recv(RecvReq& req, int origin, const Envelope& env) {
@@ -555,7 +458,7 @@ void LapiChannel::setup_counters_recv(RecvReq& req, int origin, const Envelope& 
     req.status = Status{static_cast<int>(env.src), env.tag,
                         std::min<std::size_t>(env.len, req.cap)};
     note_recv_complete(env.ctx, env.src, env.tag, env.seq, env.len);
-    maybe_retire(origin, env);
+    ea_note_retired(origin, env);
     return true;
   };
 }
@@ -571,42 +474,6 @@ void LapiChannel::bind_counters_ea(RecvReq& req, EaEntry& e) {
     deliver_from_ea(req, *ep, /*app_context=*/true);
     return true;
   };
-}
-
-void LapiChannel::deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context) {
-  const std::size_t n = std::min<std::size_t>(e.env.len, req.cap);
-  const sim::TimeNs cost = copy_cost(node_.cfg, n);
-  if (app_context) {
-    node_.app_charge(cost);
-  } else {
-    node_.cpu.charge(node_.sim, cost);
-  }
-  if (n > 0) std::memcpy(req.buf, e.data.data(), n);
-  publish_recv_complete(req, e.env);
-  erase_ea(&e);
-}
-
-void LapiChannel::erase_ea(EaEntry* e) {
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    if (it->get() == e) {
-      if (e->counted) ea_release(e->env.len);
-      // Credit the sender for a consumed eager (a pseudo-RTS — kind kEager
-      // but is_rts — is credited later, when its rendezvous data lands).
-      const bool eager = e->env.kind == static_cast<std::uint8_t>(EnvKind::kEager) && !e->is_rts;
-      const bool nack_served = e->env.kind == static_cast<std::uint8_t>(EnvKind::kRtsData) &&
-                               (e->env.flags & kFlagNackServed) != 0;
-      if (eager || nack_served) ea_note_retired(e->src_task, e->env);
-      ea_.erase(it);
-      return;
-    }
-  }
-  assert(false && "erase_ea: entry not found");
-}
-
-void LapiChannel::maybe_retire(int origin, const Envelope& env) {
-  const bool eager = env.kind == static_cast<std::uint8_t>(EnvKind::kEager);
-  const bool nack_served = (env.flags & kFlagNackServed) != 0;
-  if (eager || nack_served) ea_note_retired(origin, env);
 }
 
 void LapiChannel::send_control_env(int dst_task, const Envelope& env) {
@@ -678,70 +545,13 @@ void LapiChannel::absorb_ring_bump(int origin, std::uint16_t slot_idx) {
 // post_recv
 // ---------------------------------------------------------------------------
 
-bool LapiChannel::iprobe(int ctx, int src_sel, int tag_sel, Status* st) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  // Same non-overtaking selection rule as post_recv: a candidate counts only
-  // if no earlier-sequence matchable candidate from the same source exists.
-  const EaEntry* chosen = nullptr;
-  for (const auto& ep : ea_) {
-    const EaEntry& e = *ep;
-    if (!e.matchable || e.bound != nullptr) continue;
-    if (e.env.ctx != ctx) continue;
-    if (src_sel != kAnySource && src_sel != e.env.src) continue;
-    if (tag_sel != kAnyTag && tag_sel != e.env.tag) continue;
-    if (chosen == nullptr ||
-        (e.src_task == chosen->src_task && e.env.seq < chosen->env.seq)) {
-      chosen = &e;
-    }
-  }
-  if (chosen == nullptr) return false;
-  if (st != nullptr) {
-    *st = Status{static_cast<int>(chosen->env.src), chosen->env.tag, chosen->env.len};
-  }
-  return true;
-}
-
 void LapiChannel::post_recv(RecvReq& req) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  // MPI non-overtaking: among matchable early arrivals, a candidate may only
-  // be taken if no earlier-sequence candidate from the same source also
-  // matches (arrival order != send order on the multipath switch). Among the
-  // per-source front-runners, earliest arrival wins (wildcard sources).
-  auto chosen = ea_.end();
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    EaEntry& e = **it;
-    if (!e.matchable || e.bound != nullptr) continue;
-    if (e.env.ctx != req.ctx) continue;
-    if (req.src_sel != kAnySource && req.src_sel != e.env.src) continue;
-    if (req.tag_sel != kAnyTag && req.tag_sel != e.env.tag) continue;
-    if (chosen == ea_.end()) {
-      chosen = it;
-    } else if ((*it)->src_task == (*chosen)->src_task &&
-               (*it)->env.seq < (*chosen)->env.seq) {
-      chosen = it;
-    }
-  }
-  if (chosen != ea_.end()) {
-    auto it = chosen;
-    EaEntry& e = **it;
-    if (e.is_rts) {
-      req.status = Status{static_cast<int>(e.env.src), e.env.tag, e.env.len};
-      send_cts(e.src_task, e.env.sreq, req);
-      ea_.erase(it);
-      return;
-    }
-    if (variant_ == LapiVariant::kCounters) {
-      bind_counters_ea(req, e);
-      return;
-    }
-    if (e.arrived) {
-      deliver_from_ea(req, e, /*app_context=*/true);
-    } else {
-      e.bound = &req;
-    }
+  auto it = select_ea(req.ctx, req.src_sel, req.tag_sel);
+  if (it == ea_.end()) {
+    posted_.push_back(&req);
     return;
   }
-  posted_.push_back(&req);
+  take_ea(req, *it, /*app_context=*/true);
 }
 
 }  // namespace sp::mpci

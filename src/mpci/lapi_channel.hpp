@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <vector>
@@ -46,7 +45,6 @@ class LapiChannel : public Channel {
   void post_recv(RecvReq& req) override;
   void progress(SendReq& req) override;
   void on_thread_start() override;
-  [[nodiscard]] bool iprobe(int ctx, int src_sel, int tag_sel, Status* st) override;
 
   [[nodiscard]] LapiVariant variant() const noexcept { return variant_; }
 
@@ -55,18 +53,6 @@ class LapiChannel : public Channel {
   struct SReqState {
     lapi::Cntr org;
     lapi::Cntr cmpl;
-  };
-
-  struct EaEntry {
-    Envelope env;
-    int src_task = 0;
-    std::vector<std::byte> data;
-    bool arrived = false;
-    bool is_rts = false;
-    bool matchable = true;       ///< False while parked for sequence order.
-    bool counted = false;
-    RecvReq* bound = nullptr;
-    lapi::Cntr* watch = nullptr; ///< Counters version: arrival signal.
   };
 
   // Header handlers (registered in construction order; ids must agree across
@@ -84,7 +70,15 @@ class LapiChannel : public Channel {
   /// Drain parked envelopes that have become in-order (runs outside the
   /// header handler so it may make LAPI calls).
   void drain_parked(int origin);
-  void match_parked_entry(EaEntry& e);
+  /// Give EA entry `e` to receive `req`: clear an RTS sender to send, bind
+  /// a Counters receive to the ring slot, or deliver / bind the payload.
+  void take_ea(RecvReq& req, EaEntry& e, bool app_context);
+  /// Header-handler result reassembling a matched message into `r`.
+  [[nodiscard]] lapi::Lapi::HeaderHandlerResult reassemble_into_recv(RecvReq& r, int origin,
+                                                                     const Envelope& env);
+  /// Header-handler result reassembling into EA entry `e`, which delivers
+  /// itself on arrival if bound.
+  [[nodiscard]] lapi::Lapi::HeaderHandlerResult reassemble_into_ea(EaEntry& e);
 
   void send_data_phase(SendReq& req);
   void send_cts(int dst_task, std::uint32_t sreq, RecvReq& r);
@@ -92,21 +86,15 @@ class LapiChannel : public Channel {
   void serve_nacked(int dst_task, std::uint32_t sreq, std::uint32_t rreq);
   /// Control envelopes (EA credits / NACKs) ride the CTS header handler.
   void send_control_env(int dst_task, const Envelope& env) override;
-  /// Credit the sender back when an eager (or NACK-served data) retires.
-  void maybe_retire(int origin, const Envelope& env);
   /// Counters variant: absorb the stale ring-slot bump of a refused eager.
   void absorb_ring_bump(int origin, std::uint16_t slot_idx);
   /// Header-handler result for a refused eager: scratch reassembly + NACK.
   [[nodiscard]] lapi::Lapi::HeaderHandlerResult nack_result(int origin, const Envelope& env,
                                                             std::size_t total);
   void maybe_complete_send(SendReq& req);
-  void publish_recv_complete(RecvReq& req, const Envelope& env);
-  void deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context);
   void setup_counters_recv(RecvReq& req, int origin, const Envelope& env);
   void bind_counters_ea(RecvReq& req, EaEntry& e);
-  void erase_ea(EaEntry* e);
 
-  [[nodiscard]] RecvReq* match_posted(const Envelope& env);
   [[nodiscard]] lapi::Token ring_token(int dst, std::uint16_t slot) const;
   [[nodiscard]] lapi::Cntr* ring_slot(int src, std::uint16_t slot);
   [[nodiscard]] SReqState& sstate(SendReq& req);
@@ -120,8 +108,6 @@ class LapiChannel : public Channel {
   int hh_cts_id_ = -1;
   int hh_rtsdata_id_ = -1;
 
-  std::list<RecvReq*> posted_;
-  std::list<std::unique_ptr<EaEntry>> ea_;
   std::map<std::uint32_t, SendReq*> sreqs_;
   std::map<std::uint32_t, RecvReq*> rreqs_;
   std::map<std::uint32_t, std::unique_ptr<SReqState>> sstates_;

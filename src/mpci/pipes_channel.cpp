@@ -1,18 +1,10 @@
 #include "mpci/pipes_channel.hpp"
 
 #include <cassert>
-#include <cmath>
-#include <cstring>
+#include <memory>
 #include <utility>
 
 namespace sp::mpci {
-
-namespace {
-[[nodiscard]] sim::TimeNs copy_cost(const sim::MachineConfig& cfg, std::size_t bytes) {
-  return cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
-}
-}  // namespace
 
 PipesChannel::PipesChannel(sim::NodeRuntime& node, pipes::Pipes& pipes, int my_task,
                            int num_tasks)
@@ -113,29 +105,24 @@ void PipesChannel::maybe_complete_send(SendReq& req) {
   }
 }
 
-void PipesChannel::send_control(int dst_task, const Envelope& env) {
+void PipesChannel::send_control_env(int dst_task, const Envelope& env) {
   pipes_.write(dst_task, pack(env), nullptr, 0, nullptr);
+}
+
+void PipesChannel::send_cts(int dst_task, const Envelope& rts, RecvReq& r) {
+  r.id = next_rreq_++;
+  rreqs_.emplace(r.id, &r);
+  r.status = Status{rts.src, rts.tag, rts.len};  // provisional
+  Envelope cts;
+  cts.kind = static_cast<std::uint8_t>(EnvKind::kCts);
+  cts.sreq = rts.sreq;
+  cts.rreq = r.id;
+  send_control_env(dst_task, cts);
 }
 
 // ---------------------------------------------------------------------------
 // Receive side
 // ---------------------------------------------------------------------------
-
-RecvReq* PipesChannel::match_posted(const Envelope& env) {
-  int scanned = 0;
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    ++scanned;
-    RecvReq* r = *it;
-    if (r->ctx == env.ctx && (r->src_sel == kAnySource || r->src_sel == env.src) &&
-        (r->tag_sel == kAnyTag || r->tag_sel == env.tag)) {
-      posted_.erase(it);
-      charge_match_event(scanned);
-      return r;
-    }
-  }
-  charge_match_event(scanned);
-  return nullptr;
-}
 
 void PipesChannel::on_data(int src) {
   Parser& p = parsers_[static_cast<std::size_t>(src)];
@@ -159,35 +146,42 @@ void PipesChannel::on_data(int src) {
   }
 }
 
+void PipesChannel::receive_direct(int src, const Envelope& env, RecvReq& r, Parser& p) {
+  auto done = [this, &r, env, src] {
+    publish_recv_complete(r, env);
+    ea_note_retired(src, env);
+    if ((env.flags & kFlagNotifyDone) != 0) send_recv_done(src, env.sreq);
+  };
+  if (env.len == 0) {
+    done();
+    return;
+  }
+  p.in_payload = true;
+  p.remaining = env.len;
+  p.sink = r.buf;
+  p.on_complete = std::move(done);
+}
+
+void PipesChannel::receive_into_ea(EaEntry& e, Parser& p) {
+  p.in_payload = true;
+  p.remaining = e.env.len;
+  p.sink = e.data.data();
+  p.on_complete = [this, ep = &e] {
+    node_.publish([this, ep] {
+      ep->arrived = true;
+      if ((ep->env.flags & kFlagNotifyDone) != 0) send_recv_done(ep->src_task, ep->env.sreq);
+      if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
+    });
+  };
+}
+
 void PipesChannel::dispatch_envelope(int src, const Envelope& env, Parser& p) {
   switch (static_cast<EnvKind>(env.kind)) {
     case EnvKind::kEager: {
       RecvReq* r = match_posted(env);
       if (r != nullptr && env.len <= r->cap) {
         // Direct path: pipe buffer -> user buffer as bytes arrive.
-        if (env.len == 0) {
-          publish_recv_complete(*r, env, false);
-          if ((env.flags & kFlagNotifyDone) != 0) {
-            Envelope d;
-            d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-            d.sreq = env.sreq;
-            send_control(src, d);
-          }
-          return;
-        }
-        p.in_payload = true;
-        p.remaining = env.len;
-        p.sink = r->buf;
-        p.on_complete = [this, r, env, src] {
-          publish_recv_complete(*r, env, false);
-          ea_note_retired(src, env);
-          if ((env.flags & kFlagNotifyDone) != 0) {
-            Envelope d;
-            d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-            d.sreq = env.sreq;
-            send_control(src, d);
-          }
-        };
+        receive_direct(src, env, *r, p);
         return;
       }
       if (r == nullptr && (env.flags & kFlagReady) != 0) {
@@ -199,13 +193,7 @@ void PipesChannel::dispatch_envelope(int src, const Envelope& env, Parser& p) {
         // as a pseudo-RTS that, once matched, clears the *sender* to re-send
         // the data from its retained copy (previously this was fatal).
         ea_issue_nack(src, env);
-        auto e = std::make_unique<EaEntry>();
-        e->env = env;
-        e->src_task = src;
-        e->is_rts = true;
-        e->arrived = true;
-        ea_.push_back(std::move(e));
-        publish_arrival();
+        queue_ea({.env = env, .src_task = src, .arrived = true, .is_rts = true});
         if (env.len > 0) {
           auto scratch = std::make_shared<std::vector<std::byte>>(env.len);
           p.in_payload = true;
@@ -215,58 +203,26 @@ void PipesChannel::dispatch_envelope(int src, const Envelope& env, Parser& p) {
         }
         return;
       }
-      // Early arrival (or truncation detour): stream into an EA buffer.
-      auto e = std::make_unique<EaEntry>();
-      e->env = env;
-      e->src_task = src;
-      e->bound = r;     // non-null on the truncation detour
-      if (r == nullptr) e->counted = true;  // the try_ea_reserve above succeeded
-      e->data.resize(env.len);
-      EaEntry* ep = e.get();
-      ea_.push_back(std::move(e));
-      if (ep->bound == nullptr) publish_arrival();
-      if (env.len == 0) {
-        ep->arrived = true;
-        if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-        return;
-      }
-      p.in_payload = true;
-      p.remaining = env.len;
-      p.sink = ep->data.data();
-      p.on_complete = [this, ep, src] {
-        node_.publish([this, ep, src] {
-          ep->arrived = true;
-          if ((ep->env.flags & kFlagNotifyDone) != 0) {
-            Envelope d;
-            d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-            d.sreq = ep->env.sreq;
-            send_control(src, d);
-          }
-          if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-        });
-      };
+      // Early arrival (or truncation detour): stream into an EA buffer. An
+      // empty message only gets here unmatched (it fits any receive), and
+      // is complete at once.
+      EaEntry& e = queue_ea({.env = env,
+                             .src_task = src,
+                             .data = std::vector<std::byte>(env.len),
+                             .arrived = env.len == 0,
+                             .counted = r == nullptr,  // the try_ea_reserve above succeeded
+                             .bound = r});             // non-null on the truncation detour
+      if (env.len > 0) receive_into_ea(e, p);
       return;
     }
 
     case EnvKind::kRts: {
       RecvReq* r = match_posted(env);
       if (r != nullptr) {
-        r->id = next_rreq_++;
-        rreqs_.emplace(r->id, r);
-        r->status = Status{env.src, env.tag, env.len};  // provisional
-        Envelope cts;
-        cts.kind = static_cast<std::uint8_t>(EnvKind::kCts);
-        cts.sreq = env.sreq;
-        cts.rreq = r->id;
-        send_control(src, cts);
+        send_cts(src, env, *r);
       } else {
-        auto e = std::make_unique<EaEntry>();
-        e->env = env;
-        e->src_task = src;
-        e->is_rts = true;
-        e->arrived = true;  // an RTS carries no payload
-        ea_.push_back(std::move(e));
-        publish_arrival();
+        // An RTS carries no payload.
+        queue_ea({.env = env, .src_task = src, .arrived = true, .is_rts = true});
       }
       return;
     }
@@ -298,48 +254,14 @@ void PipesChannel::dispatch_envelope(int src, const Envelope& env, Parser& p) {
       assert(it != rreqs_.end() && "rendezvous data for unknown receive");
       RecvReq* r = it->second;
       rreqs_.erase(it);
-      const bool truncated = env.len > r->cap;
-      if (env.len == 0) {
-        publish_recv_complete(*r, env, false);
-        return;
-      }
-      if (!truncated) {
-        p.in_payload = true;
-        p.remaining = env.len;
-        p.sink = r->buf;
-        p.on_complete = [this, r, env, src] {
-          publish_recv_complete(*r, env, false);
-          if ((env.flags & kFlagNackServed) != 0) ea_note_retired(src, env);
-          if ((env.flags & kFlagNotifyDone) != 0) {
-            Envelope d;
-            d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-            d.sreq = env.sreq;
-            send_control(src, d);
-          }
-        };
+      if (env.len <= r->cap) {
+        receive_direct(src, env, *r, p);
       } else {
-        auto e = std::make_unique<EaEntry>();
-        e->env = env;
-        e->src_task = src;
-        e->bound = r;
-        e->data.resize(env.len);
-        EaEntry* ep = e.get();
-        ea_.push_back(std::move(e));
-        p.in_payload = true;
-        p.remaining = env.len;
-        p.sink = ep->data.data();
-        p.on_complete = [this, ep, src] {
-          node_.publish([this, ep, src] {
-            ep->arrived = true;
-            if ((ep->env.flags & kFlagNotifyDone) != 0) {
-              Envelope d;
-              d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-              d.sreq = ep->env.sreq;
-              send_control(src, d);
-            }
-            deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-          });
-        };
+        receive_into_ea(queue_ea({.env = env,
+                                  .src_task = src,
+                                  .data = std::vector<std::byte>(env.len),
+                                  .bound = r}),
+                        p);
       }
       return;
     }
@@ -383,101 +305,20 @@ void PipesChannel::serve_nacked(int dst_task, std::uint32_t sreq, std::uint32_t 
   pipes_.write(dst_task, pack(env), ret->data.data(), ret->data.size(), nullptr);
 }
 
-void PipesChannel::publish_recv_complete(RecvReq& req, const Envelope& env, bool truncated) {
-  node_.publish([this, &req, env, truncated] {
-    req.complete = true;
-    req.truncated = truncated;
-    req.status = Status{env.src, env.tag,
-                        std::min<std::size_t>(env.len, req.cap)};
-    note_recv_complete(env.ctx, env.src, env.tag, env.seq, env.len);
-    req.cond.notify_all(node_.sim);
-  });
-}
-
-void PipesChannel::deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context) {
-  const std::size_t n = std::min<std::size_t>(e.env.len, req.cap);
-  const sim::TimeNs cost = copy_cost(node_.cfg, n);
-  if (app_context) {
-    node_.app_charge(cost);
-  } else {
-    node_.cpu.charge(node_.sim, cost);
-  }
-  if (n > 0) std::memcpy(req.buf, e.data.data(), n);
-  const bool truncated = e.env.len > req.cap;
-  publish_recv_complete(req, e.env, truncated);
-  erase_ea(&e);
-}
-
-void PipesChannel::erase_ea(EaEntry* e) {
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    if (it->get() == e) {
-      if (e->counted) ea_release(e->env.len);
-      // Credit the sender for a consumed eager (a pseudo-RTS — kind kEager
-      // but is_rts — is credited later, when its rendezvous data lands).
-      const bool eager = e->env.kind == static_cast<std::uint8_t>(EnvKind::kEager) && !e->is_rts;
-      const bool nack_served = e->env.kind == static_cast<std::uint8_t>(EnvKind::kRtsData) &&
-                               (e->env.flags & kFlagNackServed) != 0;
-      if (eager || nack_served) ea_note_retired(e->src_task, e->env);
-      ea_.erase(it);
-      return;
-    }
-  }
-  assert(false && "erase_ea: entry not found");
-}
-
-std::list<std::unique_ptr<PipesChannel::EaEntry>>::iterator PipesChannel::find_ea(
-    const RecvReq& req) {
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    EaEntry& e = **it;
-    if (e.bound == nullptr && e.env.ctx == req.ctx &&
-        (req.src_sel == kAnySource || req.src_sel == e.env.src) &&
-        (req.tag_sel == kAnyTag || req.tag_sel == e.env.tag)) {
-      return it;
-    }
-  }
-  return ea_.end();
-}
-
-bool PipesChannel::iprobe(int ctx, int src_sel, int tag_sel, Status* st) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  for (const auto& ep : ea_) {
-    const EaEntry& e = *ep;
-    if (e.bound != nullptr) continue;
-    if (e.env.ctx != ctx) continue;
-    if (src_sel != kAnySource && src_sel != e.env.src) continue;
-    if (tag_sel != kAnyTag && tag_sel != e.env.tag) continue;
-    if (st != nullptr) *st = Status{static_cast<int>(e.env.src), e.env.tag, e.env.len};
-    return true;
-  }
-  return false;
-}
-
 void PipesChannel::post_recv(RecvReq& req) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  auto it = find_ea(req);
+  auto it = select_ea(req.ctx, req.src_sel, req.tag_sel);
   if (it == ea_.end()) {
     posted_.push_back(&req);
     return;
   }
-  EaEntry& e = **it;
-  if (e.is_rts) {
+  if (it->is_rts) {
     // The sender is waiting for us: clear it to send (Fig. 9).
-    req.id = next_rreq_++;
-    rreqs_.emplace(req.id, &req);
-    req.status = Status{e.env.src, e.env.tag, e.env.len};
-    Envelope cts;
-    cts.kind = static_cast<std::uint8_t>(EnvKind::kCts);
-    cts.sreq = e.env.sreq;
-    cts.rreq = req.id;
-    send_control(e.src_task, cts);
-    ea_.erase(it);
+    send_cts(it->src_task, it->env, req);
+    erase_ea(*it);
     return;
   }
-  if (e.arrived) {
-    deliver_from_ea(req, e, /*app_context=*/true);
-  } else {
-    e.bound = &req;  // complete (and copy) when the payload finishes arriving
-  }
+  // Complete (and copy) now, or when the payload finishes arriving.
+  deliver_or_bind(req, *it, /*app_context=*/true);
 }
 
 }  // namespace sp::mpci

@@ -1,13 +1,12 @@
 // The native MPCI: point-to-point messaging over the Pipes byte stream
 // (Fig. 1a). Messages are framed as [Envelope][payload] on the ordered
-// stream; matching, early-arrival buffering and the eager/rendezvous
-// protocols live here.
+// stream; the eager/rendezvous protocols live here, over the matching engine
+// in Channel.
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "mpci/channel.hpp"
@@ -23,21 +22,8 @@ class PipesChannel : public Channel {
   void start_send(SendReq& req) override;
   void post_recv(RecvReq& req) override;
   void progress(SendReq& req) override;
-  [[nodiscard]] bool iprobe(int ctx, int src_sel, int tag_sel, Status* st) override;
 
  private:
-  /// An unexpected (early-arrival) message, or a matched-but-detoured one
-  /// (truncation / matched mid-arrival).
-  struct EaEntry {
-    Envelope env;
-    int src_task = 0;             ///< Sender's task id (transport address).
-    std::vector<std::byte> data;  ///< Early-arrival buffer (eager payload).
-    bool arrived = false;         ///< Payload fully received.
-    bool is_rts = false;
-    RecvReq* bound = nullptr;     ///< Receive that matched while arriving.
-    bool counted = false;         ///< Whether `data` is EA-accounted.
-  };
-
   /// Per-source stream parser state.
   struct Parser {
     bool in_payload = false;
@@ -48,23 +34,21 @@ class PipesChannel : public Channel {
 
   void on_data(int src);
   void dispatch_envelope(int src, const Envelope& env, Parser& p);
+  /// Stream a matched message's payload straight into the receive buffer.
+  void receive_direct(int src, const Envelope& env, RecvReq& r, Parser& p);
+  /// Stream a payload into EA entry `e`; delivers it on arrival if bound.
+  void receive_into_ea(EaEntry& e, Parser& p);
+  /// Clear the sender of RTS `rts` to send its data into `r` (Fig. 9).
+  void send_cts(int dst_task, const Envelope& rts, RecvReq& r);
   void send_data_phase(SendReq& req, std::uint32_t rreq);
   /// Serve a NACKed eager's retained copy as rendezvous data (EA failover).
   void serve_nacked(int dst_task, std::uint32_t sreq, std::uint32_t rreq);
   void maybe_complete_send(SendReq& req);
-  void publish_recv_complete(RecvReq& req, const Envelope& env, bool truncated);
-  void deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context);
-  void send_control(int dst_task, const Envelope& env);
-  void send_control_env(int dst_task, const Envelope& env) override { send_control(dst_task, env); }
-  [[nodiscard]] RecvReq* match_posted(const Envelope& env);
-  [[nodiscard]] std::list<std::unique_ptr<EaEntry>>::iterator find_ea(const RecvReq& req);
-  void erase_ea(EaEntry* e);
+  void send_control_env(int dst_task, const Envelope& env) override;
 
   pipes::Pipes& pipes_;
   int my_task_;
 
-  std::list<RecvReq*> posted_;
-  std::list<std::unique_ptr<EaEntry>> ea_;
   std::map<std::uint32_t, SendReq*> sreqs_;
   std::map<std::uint32_t, RecvReq*> rreqs_;
   std::vector<Parser> parsers_;

@@ -1,18 +1,12 @@
 #include "mpci/rdma_channel.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
 namespace sp::mpci {
 
 namespace {
-[[nodiscard]] sim::TimeNs copy_cost(const sim::MachineConfig& cfg, std::size_t bytes) {
-  return cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
-}
-
 /// RTS immediate: envelope + the sender's 8-byte region token.
 [[nodiscard]] std::vector<std::byte> pack_rts(const Envelope& env, lapi::Token token) {
   std::vector<std::byte> imm(sizeof(Envelope) + sizeof(token));
@@ -151,22 +145,6 @@ void RdmaChannel::ring_slot_freed(int src) {
 // Receive side
 // ---------------------------------------------------------------------------
 
-RecvReq* RdmaChannel::match_posted(const Envelope& env) {
-  int scanned = 0;
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    ++scanned;
-    RecvReq* r = *it;
-    if (r->ctx == env.ctx && (r->src_sel == kAnySource || r->src_sel == env.src) &&
-        (r->tag_sel == kAnyTag || r->tag_sel == env.tag)) {
-      posted_.erase(it);
-      charge_match_event(scanned);
-      return r;
-    }
-  }
-  charge_match_event(scanned);
-  return nullptr;
-}
-
 void RdmaChannel::on_write(int src, std::span<const std::byte> imm,
                            std::vector<std::byte>&& data) {
   assert(imm.size() >= sizeof(Envelope) && "RDMA write without an envelope immediate");
@@ -187,13 +165,8 @@ void RdmaChannel::on_write(int src, std::span<const std::byte> imm,
       if (r != nullptr) {
         start_read(*r, env, src, token, /*app_context=*/false);
       } else {
-        auto e = std::make_unique<EaEntry>();
-        e->env = env;
-        e->src_task = src;
-        e->token = token;
-        e->is_rts = true;
-        ea_.push_back(std::move(e));
-        publish_arrival();
+        queue_ea(
+            {.env = env, .src_task = src, .arrived = true, .is_rts = true, .token = token});
       }
       return;
     }
@@ -204,17 +177,7 @@ void RdmaChannel::on_write(int src, std::span<const std::byte> imm,
       assert(it != rreqs_.end() && "rendezvous data for unknown receive");
       RecvReq* r = it->second;
       rreqs_.erase(it);
-      const std::size_t n = std::min<std::size_t>(env.len, r->cap);
-      node_.cpu.charge(node_.sim, copy_cost(node_.cfg, n));
-      if (n > 0) std::memcpy(r->buf, data.data(), n);
-      publish_recv_complete(*r, env, env.len > r->cap);
-      if ((env.flags & kFlagNackServed) != 0) ea_note_retired(src, env);
-      if ((env.flags & kFlagNotifyDone) != 0) {
-        Envelope d;
-        d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-        d.sreq = env.sreq;
-        send_control_env(src, d);
-      }
+      receive_direct(src, env, *r, data);
       return;
     }
 
@@ -272,17 +235,7 @@ void RdmaChannel::handle_eager(int src, const Envelope& env, std::vector<std::by
 
   RecvReq* r = match_posted(env);
   if (r != nullptr) {
-    const std::size_t n = std::min<std::size_t>(env.len, r->cap);
-    node_.cpu.charge(node_.sim, copy_cost(node_.cfg, n));
-    if (n > 0) std::memcpy(r->buf, data.data(), n);
-    publish_recv_complete(*r, env, env.len > r->cap);
-    ea_note_retired(src, env);
-    if ((env.flags & kFlagNotifyDone) != 0) {
-      Envelope d;
-      d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-      d.sreq = env.sreq;
-      send_control_env(src, d);
-    }
+    receive_direct(src, env, *r, data);
     return;
   }
 
@@ -295,29 +248,27 @@ void RdmaChannel::handle_eager(int src, const Envelope& env, std::vector<std::by
     // envelope behind as a pseudo-RTS — once matched, a CTS clears the
     // sender to re-send from its retained copy (previously this was fatal).
     ea_issue_nack(src, env);
-    auto e = std::make_unique<EaEntry>();
-    e->env = env;
-    e->src_task = src;
-    e->is_rts = true;
-    ea_.push_back(std::move(e));
-    publish_arrival();
+    queue_ea({.env = env, .src_task = src, .arrived = true, .is_rts = true});
     return;
   }
 
-  auto e = std::make_unique<EaEntry>();
-  e->env = env;
-  e->src_task = src;
-  e->data = std::move(data);
-  e->counted = true;
-  ea_.push_back(std::move(e));
-  publish_arrival();
-  if ((env.flags & kFlagNotifyDone) != 0) {
-    // The payload is safely buffered: the sender's attach slot can go.
-    Envelope d;
-    d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-    d.sreq = env.sreq;
-    send_control_env(src, d);
-  }
+  queue_ea({.env = env,
+            .src_task = src,
+            .data = std::move(data),
+            .arrived = true,
+            .counted = true});
+  // The payload is safely buffered: the sender's attach slot can go.
+  if ((env.flags & kFlagNotifyDone) != 0) send_recv_done(src, env.sreq);
+}
+
+void RdmaChannel::receive_direct(int src, const Envelope& env, RecvReq& r,
+                                 const std::vector<std::byte>& data) {
+  const std::size_t n = std::min<std::size_t>(env.len, r.cap);
+  node_.cpu.charge(node_.sim, copy_cost(n));
+  if (n > 0) std::memcpy(r.buf, data.data(), n);
+  publish_recv_complete(r, env);
+  ea_note_retired(src, env);
+  if ((env.flags & kFlagNotifyDone) != 0) send_recv_done(src, env.sreq);
 }
 
 void RdmaChannel::start_read(RecvReq& req, const Envelope& env, int src, lapi::Token token,
@@ -325,13 +276,9 @@ void RdmaChannel::start_read(RecvReq& req, const Envelope& env, int src, lapi::T
   req.id = next_rreq_++;
   req.status = Status{env.src, env.tag, env.len};  // provisional
   const std::size_t n = std::min<std::size_t>(env.len, req.cap);
-  const bool truncated = env.len > req.cap;
   if (n == 0) {
-    publish_recv_complete(req, env, truncated);
-    Envelope fin;
-    fin.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-    fin.sreq = env.sreq;
-    send_control_env(src, fin);
+    publish_recv_complete(req, env);
+    send_recv_done(src, env.sreq);
     return;
   }
   // Post the read descriptor (a host doorbell), then the NIC pulls the
@@ -341,110 +288,41 @@ void RdmaChannel::start_read(RecvReq& req, const Envelope& env, int src, lapi::T
   } else {
     node_.cpu.charge(node_.sim, node_.cfg.rdma_doorbell_ns);
   }
-  nic_.post_read(src, token, req.buf, n, [this, &req, env, src, truncated] {
+  nic_.post_read(src, token, req.buf, n, [this, &req, env, src] {
     node_.cpu.charge(node_.sim, node_.cfg.rdma_cq_ns);  // reap the read CQE
-    publish_recv_complete(req, env, truncated);
-    Envelope fin;
-    fin.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-    fin.sreq = env.sreq;
-    send_control_env(src, fin);
+    publish_recv_complete(req, env);
+    send_recv_done(src, env.sreq);
   });
-}
-
-void RdmaChannel::publish_recv_complete(RecvReq& req, const Envelope& env, bool truncated) {
-  node_.publish([this, &req, env, truncated] {
-    req.complete = true;
-    req.truncated = truncated;
-    req.status = Status{env.src, env.tag, std::min<std::size_t>(env.len, req.cap)};
-    note_recv_complete(env.ctx, env.src, env.tag, env.seq, env.len);
-    req.cond.notify_all(node_.sim);
-  });
-}
-
-void RdmaChannel::deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context) {
-  const std::size_t n = std::min<std::size_t>(e.env.len, req.cap);
-  const sim::TimeNs cost = copy_cost(node_.cfg, n);
-  if (app_context) {
-    node_.app_charge(cost);
-  } else {
-    node_.cpu.charge(node_.sim, cost);
-  }
-  if (n > 0) std::memcpy(req.buf, e.data.data(), n);
-  const bool truncated = e.env.len > req.cap;
-  publish_recv_complete(req, e.env, truncated);
-  erase_ea(&e);
-}
-
-void RdmaChannel::erase_ea(EaEntry* e) {
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    if (it->get() == e) {
-      if (e->counted) ea_release(e->env.len);
-      const bool eager = e->env.kind == static_cast<std::uint8_t>(EnvKind::kEager) && !e->is_rts;
-      if (eager) ea_note_retired(e->src_task, e->env);
-      ea_.erase(it);
-      return;
-    }
-  }
-  assert(false && "erase_ea: entry not found");
-}
-
-std::list<std::unique_ptr<RdmaChannel::EaEntry>>::iterator RdmaChannel::find_ea(
-    const RecvReq& req) {
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    EaEntry& e = **it;
-    if (e.env.ctx == req.ctx && (req.src_sel == kAnySource || req.src_sel == e.env.src) &&
-        (req.tag_sel == kAnyTag || req.tag_sel == e.env.tag)) {
-      return it;
-    }
-  }
-  return ea_.end();
-}
-
-bool RdmaChannel::iprobe(int ctx, int src_sel, int tag_sel, Status* st) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  for (const auto& ep : ea_) {
-    const EaEntry& e = *ep;
-    if (e.env.ctx != ctx) continue;
-    if (src_sel != kAnySource && src_sel != e.env.src) continue;
-    if (tag_sel != kAnyTag && tag_sel != e.env.tag) continue;
-    if (st != nullptr) *st = Status{static_cast<int>(e.env.src), e.env.tag, e.env.len};
-    return true;
-  }
-  return false;
 }
 
 void RdmaChannel::post_recv(RecvReq& req) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  auto it = find_ea(req);
+  auto it = select_ea(req.ctx, req.src_sel, req.tag_sel);
   if (it == ea_.end()) {
     posted_.push_back(&req);
     return;
   }
-  EaEntry& e = **it;
-  if (e.is_rts) {
-    if (e.env.kind == static_cast<std::uint8_t>(EnvKind::kRts)) {
-      // Real RTS: pull the payload ourselves.
-      const Envelope env = e.env;
-      const int src = e.src_task;
-      const lapi::Token token = e.token;
-      ea_.erase(it);
-      start_read(req, env, src, token, /*app_context=*/true);
-    } else {
-      // NACKed eager turned pseudo-RTS: clear the sender to re-send.
-      req.id = next_rreq_++;
-      rreqs_.emplace(req.id, &req);
-      req.status = Status{e.env.src, e.env.tag, e.env.len};
-      Envelope cts;
-      cts.kind = static_cast<std::uint8_t>(EnvKind::kCts);
-      cts.sreq = e.env.sreq;
-      cts.rreq = req.id;
-      const int src = e.src_task;
-      ea_.erase(it);
-      send_control_env(src, cts);
-    }
+  if (!it->is_rts) {
+    deliver_from_ea(req, *it, /*app_context=*/true);
     return;
   }
-  deliver_from_ea(req, e, /*app_context=*/true);
+  const Envelope env = it->env;
+  const int src = it->src_task;
+  const lapi::Token token = it->token;
+  erase_ea(*it);
+  if (env.kind == static_cast<std::uint8_t>(EnvKind::kRts)) {
+    // Real RTS: pull the payload ourselves.
+    start_read(req, env, src, token, /*app_context=*/true);
+    return;
+  }
+  // NACKed eager turned pseudo-RTS: clear the sender to re-send.
+  req.id = next_rreq_++;
+  rreqs_.emplace(req.id, &req);
+  req.status = Status{env.src, env.tag, env.len};
+  Envelope cts;
+  cts.kind = static_cast<std::uint8_t>(EnvKind::kCts);
+  cts.sreq = env.sreq;
+  cts.rreq = req.id;
+  send_control_env(src, cts);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,9 +26,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "hal/rdma_nic.hpp"
@@ -44,7 +42,6 @@ class RdmaChannel : public Channel {
   void start_send(SendReq& req) override;
   void post_recv(RecvReq& req) override;
   void progress(SendReq& req) override;
-  [[nodiscard]] bool iprobe(int ctx, int src_sel, int tag_sel, Status* st) override;
 
   [[nodiscard]] bool nic_offload() const noexcept override { return true; }
   bool nic_barrier(int ctx, std::uint32_t seq, int rank, const std::vector<int>& tasks) override;
@@ -54,19 +51,11 @@ class RdmaChannel : public Channel {
                      std::byte* buf, std::size_t len, NicCombine combine) override;
 
  private:
-  /// An unexpected message. Writes arrive whole (the NIC reassembles), so
-  /// unlike the other channels there is no partially-arrived state.
-  struct EaEntry {
-    Envelope env;
-    int src_task = 0;
-    std::vector<std::byte> data;  ///< Eager payload (moved off the ring).
-    lapi::Token token = 0;        ///< Real RTS: sender's registered region.
-    bool is_rts = false;          ///< RTS, or a NACKed eager turned pseudo-RTS.
-    bool counted = false;         ///< Whether `data` is EA-accounted.
-  };
-
   void on_write(int src, std::span<const std::byte> imm, std::vector<std::byte>&& data);
   void handle_eager(int src, const Envelope& env, std::vector<std::byte>&& data);
+  /// Copy a whole arrived payload into the matched receive and complete it.
+  void receive_direct(int src, const Envelope& env, RecvReq& r,
+                      const std::vector<std::byte>& data);
   /// Receiver side of the rendezvous: pull the payload via RDMA read, then
   /// complete the receive and FIN the sender.
   void start_read(RecvReq& req, const Envelope& env, int src, lapi::Token token,
@@ -79,17 +68,10 @@ class RdmaChannel : public Channel {
   /// Blocking driver shared by the three adapter-resident collectives.
   bool run_nic_coll(hal::RdmaNic::CollOp&& op);
   void maybe_complete_send(SendReq& req);
-  void publish_recv_complete(RecvReq& req, const Envelope& env, bool truncated);
-  void deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context);
-  [[nodiscard]] RecvReq* match_posted(const Envelope& env);
-  [[nodiscard]] std::list<std::unique_ptr<EaEntry>>::iterator find_ea(const RecvReq& req);
-  void erase_ea(EaEntry* e);
 
   hal::RdmaNic& nic_;
   int my_task_;
 
-  std::list<RecvReq*> posted_;
-  std::list<std::unique_ptr<EaEntry>> ea_;
   std::map<std::uint32_t, SendReq*> sreqs_;
   std::map<std::uint32_t, RecvReq*> rreqs_;  ///< NACK-service rendezvous only.
   std::map<std::uint32_t, lapi::Token> send_regions_;  ///< sreq -> RTS region.
