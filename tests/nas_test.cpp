@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "mpi/machine.hpp"
 #include "nas/kernels.hpp"
@@ -19,6 +22,20 @@ struct NasParam {
   std::string kernel;
   Backend backend;
 };
+
+std::string backend_label(Backend b) {
+  return b == Backend::kNativePipes   ? "Native"
+         : b == Backend::kLapiBase     ? "Base"
+         : b == Backend::kLapiCounters ? "Counters"
+                                       : "Enhanced";
+}
+
+// Without this, gtest prints the parameter as raw bytes, which include the
+// heap address of `kernel`, so the listed test names would change from one
+// build to the next.
+void PrintTo(const NasParam& p, std::ostream* os) {
+  *os << p.kernel << "/" << backend_label(p.backend);
+}
 
 KernelResult run_kernel(const std::string& name, Backend backend, int nodes, int scale) {
   MachineConfig cfg;
@@ -57,11 +74,7 @@ std::vector<NasParam> all_params() {
 }
 
 std::string nas_name(const ::testing::TestParamInfo<NasParam>& info) {
-  std::string b = info.param.backend == Backend::kNativePipes ? "Native"
-                  : info.param.backend == Backend::kLapiBase  ? "Base"
-                  : info.param.backend == Backend::kLapiCounters ? "Counters"
-                                                                 : "Enhanced";
-  return info.param.kernel + "_" + b;
+  return info.param.kernel + "_" + backend_label(info.param.backend);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernelsAllBackends, NasKernels, ::testing::ValuesIn(all_params()),
