@@ -297,6 +297,8 @@ void Machine::print_stats(std::FILE* out) const {
                static_cast<long long>(s.pipes_acks),
                static_cast<long long>(s.pipes_reacks_coalesced),
                static_cast<unsigned long long>(s.sim_events));
+  std::fprintf(out, "sched:  digest 0x%016llx\n",
+               static_cast<unsigned long long>(schedule_digest()));
   std::fprintf(out, "host:   %llu events pushed, %llu popped; actions: %llu inline, "
                "%llu pooled, %llu pool-miss, %llu fallback\n",
                static_cast<unsigned long long>(s.events_pushed),

@@ -65,6 +65,10 @@ class Machine {
   /// Simulated time when the last run() finished.
   [[nodiscard]] sim::TimeNs elapsed() const noexcept { return elapsed_; }
 
+  /// Digest of every event this machine has run, in order (the determinism
+  /// goldens pin it; see sim::EventQueue::schedule_digest).
+  [[nodiscard]] std::uint64_t schedule_digest() const noexcept { return sim_.schedule_digest(); }
+
   /// Aggregate statistics over all nodes (diagnostics / the spsim tool).
   struct Stats {
     std::int64_t packets_sent = 0;

@@ -2,8 +2,10 @@
 //
 // Ties on timestamp are broken by insertion sequence number, which makes the
 // processing order a total order independent of heap implementation details —
-// a requirement for bit-reproducible simulations (guarded by
-// tests/determinism_test.cpp).
+// a requirement for bit-reproducible simulations. The queue folds the
+// (time, seq) of every event it hands out into a running schedule digest, so
+// tests/determinism_test.cpp can pin the whole processing order with no
+// instrumentation switched on.
 //
 // Hot-path design: the simulator pushes and pops millions of closures per
 // host-second, so the steady state must be allocation-free.
@@ -288,6 +290,10 @@ class EventQueue {
   // --- host-side perf counters ---
   [[nodiscard]] std::uint64_t pushed() const noexcept { return pushed_; }
   [[nodiscard]] std::uint64_t popped() const noexcept { return popped_; }
+  /// FNV-1a fold of (at, seq) over every event popped so far, in run order.
+  /// The SchedKey stays out: outside controlled runs it never changes when
+  /// an event runs (sched.hpp), so the digest pins the schedule alone.
+  [[nodiscard]] std::uint64_t schedule_digest() const noexcept { return digest_; }
   [[nodiscard]] const EventPool& pool() const noexcept { return pool_; }
   /// Actions whose captures fit the inline buffer (no allocation at all).
   [[nodiscard]] std::uint64_t inline_actions() const noexcept {
@@ -307,10 +313,15 @@ class EventQueue {
     std::uint32_t next_free = kNone;
   };
 
-  /// Recycle slot `id` and hand its payload out; notifies the controller.
+  static constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+  /// Recycle slot `id` and hand its payload out; folds it into the schedule
+  /// digest and notifies the controller.
   [[nodiscard]] std::pair<TimeNs, Action> take(std::uint32_t id) {
     Slot& s = slots_[id];
     std::pair<TimeNs, Action> out{s.at, std::move(s.action)};
+    digest_ = (digest_ ^ static_cast<std::uint64_t>(s.at)) * kFnvPrime;
+    digest_ = (digest_ ^ s.seq) * kFnvPrime;
     if (controller_ != nullptr) {
       controller_->on_execute(ScheduleController::Choice{s.at, s.seq, s.key});
     }
@@ -424,6 +435,7 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::uint64_t pushed_ = 0;
   std::uint64_t popped_ = 0;
+  std::uint64_t digest_ = 14695981039346656037ULL;  // FNV-1a offset basis
 };
 
 }  // namespace sp::sim

@@ -100,6 +100,11 @@ class Simulator {
     queue_.set_controller(c, window_ns);
   }
 
+  /// Digest of the processing order so far (EventQueue::schedule_digest).
+  [[nodiscard]] std::uint64_t schedule_digest() const noexcept {
+    return queue_.schedule_digest();
+  }
+
   /// Read-only view of the queue's host-side perf counters.
   [[nodiscard]] const EventQueue& queue() const noexcept { return queue_; }
 

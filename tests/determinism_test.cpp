@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mpi/machine.hpp"
@@ -24,21 +25,15 @@ using sp::mpi::Mpi;
 using sp::sim::MachineConfig;
 using sp::test::trace_digest;
 
-/// Fig. 11 ping-pong: 64 iterations of an 8 KiB bounce between two ranks.
-std::uint64_t pingpong_digest(Backend backend) {
-  MachineConfig cfg;
-  cfg.trace_enabled = true;
-  const auto m = sp::test::run_pingpong(cfg, backend, 64, 8 * 1024);
-  return trace_digest(*m->trace());
-}
+enum class Workload { kPingPong, kAlltoall, kEarlyArrival };
+constexpr Workload kWorkloads[] = {Workload::kPingPong, Workload::kAlltoall,
+                                   Workload::kEarlyArrival};
 
 /// Eight ranks, twelve rounds of MPI_Alltoall with 2 KiB blocks: a storm of
 /// crossing messages exercising out-of-order arrival across all four routes.
-std::uint64_t alltoall_digest(Backend backend) {
-  MachineConfig cfg;
-  cfg.trace_enabled = true;
-  Machine m(cfg, 8, backend);
-  m.run([](Mpi& mpi) {
+std::unique_ptr<Machine> run_alltoall(const MachineConfig& cfg, Backend backend) {
+  auto m = std::make_unique<Machine>(cfg, 8, backend);
+  m->run([](Mpi& mpi) {
     auto& w = mpi.world();
     const auto n = static_cast<std::size_t>(w.size());
     std::vector<double> src(256 * n, 0.5), dst(256 * n, 0.0);
@@ -46,72 +41,36 @@ std::uint64_t alltoall_digest(Backend backend) {
       mpi.alltoall(src.data(), 256, dst.data(), sp::mpi::Datatype::kDouble, w);
     }
   });
-  return trace_digest(*m.trace());
+  return m;
 }
 
-/// Four ranks: ranks 1-3 each start nine nonblocking sends to rank 0 (empty,
-/// eager and rendezvous sizes over three tags) while rank 0 computes, so they
-/// all land in the early-arrival queue. Rank 0 then drains the queue with
-/// iprobe and receives by exact, then wildcard, selectors, one of them
-/// truncating. Then rank 0 polls iprobe while a truncated eager streams into
-/// a bound early-arrival entry, and while a burst of 24 mixed-size eagers
-/// from rank 1 arrives (skewed routes reorder it, so on LAPI some park),
-/// receiving half as they show up and the rest after a pause.
-std::uint64_t unexpected_digest(Backend backend) {
+/// Ping-pong is Fig. 11's: 64 iterations of an 8 KiB bounce between two
+/// ranks. Early-arrival is the four-rank queue workout in test_harness.hpp.
+std::unique_ptr<Machine> run_workload(Workload wl, const MachineConfig& cfg, Backend backend) {
+  switch (wl) {
+    case Workload::kPingPong:
+      return sp::test::run_pingpong(cfg, backend, 64, 8 * 1024);
+    case Workload::kAlltoall:
+      return run_alltoall(cfg, backend);
+    case Workload::kEarlyArrival:
+      return sp::test::run_early_arrival(cfg, backend);
+  }
+  return nullptr;
+}
+
+std::uint64_t legacy_digest(Workload wl, Backend backend) {
   MachineConfig cfg;
   cfg.trace_enabled = true;
-  cfg.route_skew_ns = 20'000;
-  Machine m(cfg, 4, backend);
-  m.run([](Mpi& mpi) {
-    using sp::mpi::kAnySource;
-    using sp::mpi::kAnyTag;
-    auto& w = mpi.world();
-    constexpr std::size_t kSizes[] = {0, 2048, 16384};
-    std::vector<std::byte> buf(16384, std::byte{1});
-    if (w.rank() != 0) {
-      std::vector<sp::mpi::Request> reqs;
-      for (int i = 0; i < 9; ++i) {
-        reqs.push_back(
-            mpi.isend(buf.data(), kSizes[i % 3], sp::mpi::Datatype::kByte, 0, i % 3, w));
-      }
-      mpi.waitall(reqs.data(), reqs.size());
-      if (w.rank() != 1) return;
-      mpi.recv(buf.data(), 1, sp::mpi::Datatype::kByte, 0, 8, w);
-      mpi.send(buf.data(), 2048, sp::mpi::Datatype::kByte, 0, 7, w);
-      mpi.recv(buf.data(), 1, sp::mpi::Datatype::kByte, 0, 8, w);
-      reqs.clear();
-      for (int i = 0; i < 24; ++i) {
-        reqs.push_back(mpi.isend(buf.data(), 64 + 173 * static_cast<std::size_t>(i),
-                                 sp::mpi::Datatype::kByte, 0, 9, w));
-      }
-      mpi.waitall(reqs.data(), reqs.size());
-      return;
-    }
-    mpi.compute(500'000);
-    sp::mpi::Status st;
-    for (int i = 0; i < 27; ++i) {
-      const int src = i < 6 ? 1 + i % 3 : kAnySource;
-      const int tag = i < 6 ? i % 3 : kAnyTag;
-      if (!mpi.iprobe(src, tag, w, &st)) mpi.probe(src, tag, w, &st);
-      const std::size_t cap = i == 10 ? 1000 : buf.size();
-      mpi.recv(buf.data(), cap, sp::mpi::Datatype::kByte, src, tag, w, &st);
-    }
-    auto trunc = mpi.irecv(buf.data(), 1000, sp::mpi::Datatype::kByte, 1, 7, w);
-    mpi.send(buf.data(), 1, sp::mpi::Datatype::kByte, 1, 8, w);
-    while (!mpi.test(trunc)) (void)mpi.iprobe(kAnySource, kAnyTag, w, &st);
-    mpi.send(buf.data(), 1, sp::mpi::Datatype::kByte, 1, 8, w);
-    for (int got = 0; got < 12;) {
-      if (mpi.iprobe(kAnySource, 9, w, &st)) {
-        mpi.recv(buf.data(), buf.size(), sp::mpi::Datatype::kByte, kAnySource, 9, w);
-        ++got;
-      }
-    }
-    mpi.compute(300'000);
-    for (int i = 0; i < 12; ++i) {
-      mpi.recv(buf.data(), buf.size(), sp::mpi::Datatype::kByte, kAnySource, kAnyTag, w);
-    }
-  });
-  return trace_digest(*m.trace());
+  return trace_digest(*run_workload(wl, cfg, backend)->trace());
+}
+std::uint64_t pingpong_digest(Backend b) { return legacy_digest(Workload::kPingPong, b); }
+std::uint64_t alltoall_digest(Backend b) { return legacy_digest(Workload::kAlltoall, b); }
+std::uint64_t unexpected_digest(Backend b) { return legacy_digest(Workload::kEarlyArrival, b); }
+
+/// The queue's schedule digest of a run with every instrumentation switch off
+/// unless `cfg` turns one on.
+std::uint64_t schedule_digest(Workload wl, Backend backend, const MachineConfig& cfg = {}) {
+  return run_workload(wl, cfg, backend)->schedule_digest();
 }
 
 // Golden digests captured from the seed event engine (std::function +
@@ -171,6 +130,74 @@ TEST(Determinism, EveryBackendMatchesItsGoldenDigests) {
     EXPECT_EQ(pp, g.pingpong) << "ping-pong event order changed: 0x" << std::hex << pp;
     EXPECT_EQ(a2a, g.alltoall) << "alltoall event order changed: 0x" << std::hex << a2a;
     EXPECT_EQ(ea, g.unexpected) << "early-arrival event order changed: 0x" << std::hex << ea;
+  }
+}
+
+// Schedule-digest goldens: the FNV-1a fold of (at, seq) over every event the
+// queue runs, captured with the legacy tracer and telemetry both off.
+// Columns: ping-pong, alltoall, early-arrival.
+constexpr BackendGolden kScheduleGoldens[] = {
+    {Backend::kNativePipes, 0x7b00e304de6a2725ULL, 0xebd25fe71036b699ULL,
+     0x46e90cf08b9f1ab3ULL},
+    {Backend::kLapiBase, 0x0695e0754430b9f6ULL, 0x69553fb5cec49aafULL, 0xc8fe8d560be7d1daULL},
+    {Backend::kLapiCounters, 0x6290f302c1193a49ULL, 0x7dda2b71aea17a15ULL,
+     0x7aa3b3b832545feeULL},
+    {Backend::kLapiEnhanced, 0x2cb95b983dd51092ULL, 0xdd5350353698eb00ULL,
+     0xc94eb735f63d09dbULL},
+    {Backend::kRdma, 0xb5ceb2d2e92b1332ULL, 0xd5e49f72ced476e2ULL, 0x69d4ecdf598495afULL},
+};
+
+std::uint64_t golden_for(const BackendGolden& g, Workload wl) {
+  switch (wl) {
+    case Workload::kPingPong:
+      return g.pingpong;
+    case Workload::kAlltoall:
+      return g.alltoall;
+    case Workload::kEarlyArrival:
+      return g.unexpected;
+  }
+  return 0;
+}
+
+const char* workload_name(Workload wl) {
+  switch (wl) {
+    case Workload::kPingPong:
+      return "ping-pong";
+    case Workload::kAlltoall:
+      return "alltoall";
+    case Workload::kEarlyArrival:
+      return "early-arrival";
+  }
+  return "?";
+}
+
+TEST(Determinism, EveryBackendMatchesItsScheduleDigests) {
+  for (const BackendGolden& g : kScheduleGoldens) {
+    for (Workload wl : kWorkloads) {
+      SCOPED_TRACE(testing::Message() << sp::mpi::backend_name(g.backend) << " "
+                                      << workload_name(wl));
+      const std::uint64_t d = schedule_digest(wl, g.backend);
+      EXPECT_EQ(d, golden_for(g, wl)) << "event order changed: 0x" << std::hex << d;
+    }
+  }
+}
+
+TEST(Determinism, ScheduleDigestIgnoresInstrumentation) {
+  for (const BackendGolden& g : kScheduleGoldens) {
+    for (Workload wl : kWorkloads) {
+      SCOPED_TRACE(testing::Message() << sp::mpi::backend_name(g.backend) << " "
+                                      << workload_name(wl));
+      const std::uint64_t plain = schedule_digest(wl, g.backend);
+      for (const bool trace : {false, true}) {
+        for (const bool telemetry : {false, true}) {
+          MachineConfig cfg;
+          cfg.trace_enabled = trace;
+          cfg.telemetry_enabled = telemetry;
+          EXPECT_EQ(schedule_digest(wl, g.backend, cfg), plain)
+              << "trace=" << trace << " telemetry=" << telemetry;
+        }
+      }
+    }
   }
 }
 

@@ -103,6 +103,70 @@ inline std::unique_ptr<mpi::Machine> run_pingpong(const sim::MachineConfig& cfg,
   return m;
 }
 
+/// Four ranks with skewed routes: ranks 1-3 each start nine nonblocking sends
+/// to rank 0 (empty, eager and rendezvous sizes over three tags) while rank 0
+/// computes, so they all land in the early-arrival queue. Rank 0 then drains
+/// the queue with iprobe and receives by exact, then wildcard, selectors, one
+/// of them truncating. Then rank 0 polls iprobe while a truncated eager
+/// streams into a bound early-arrival entry, and while a burst of 24
+/// mixed-size eagers from rank 1 arrives (skewed routes reorder it, so on
+/// LAPI some park), receiving half as they show up and the rest after a pause.
+inline std::unique_ptr<mpi::Machine> run_early_arrival(sim::MachineConfig cfg,
+                                                       mpi::Backend backend) {
+  cfg.route_skew_ns = 20'000;
+  auto m = std::make_unique<mpi::Machine>(cfg, 4, backend);
+  m->run([](mpi::Mpi& mpi) {
+    using sp::mpi::Datatype;
+    using sp::mpi::kAnySource;
+    using sp::mpi::kAnyTag;
+    auto& w = mpi.world();
+    constexpr std::size_t kSizes[] = {0, 2048, 16384};
+    std::vector<std::byte> buf(16384, std::byte{1});
+    if (w.rank() != 0) {
+      std::vector<sp::mpi::Request> reqs;
+      for (int i = 0; i < 9; ++i) {
+        reqs.push_back(mpi.isend(buf.data(), kSizes[i % 3], Datatype::kByte, 0, i % 3, w));
+      }
+      mpi.waitall(reqs.data(), reqs.size());
+      if (w.rank() != 1) return;
+      mpi.recv(buf.data(), 1, Datatype::kByte, 0, 8, w);
+      mpi.send(buf.data(), 2048, Datatype::kByte, 0, 7, w);
+      mpi.recv(buf.data(), 1, Datatype::kByte, 0, 8, w);
+      reqs.clear();
+      for (int i = 0; i < 24; ++i) {
+        reqs.push_back(mpi.isend(buf.data(), 64 + 173 * static_cast<std::size_t>(i),
+                                 Datatype::kByte, 0, 9, w));
+      }
+      mpi.waitall(reqs.data(), reqs.size());
+      return;
+    }
+    mpi.compute(500'000);
+    sp::mpi::Status st;
+    for (int i = 0; i < 27; ++i) {
+      const int src = i < 6 ? 1 + i % 3 : kAnySource;
+      const int tag = i < 6 ? i % 3 : kAnyTag;
+      if (!mpi.iprobe(src, tag, w, &st)) mpi.probe(src, tag, w, &st);
+      const std::size_t cap = i == 10 ? 1000 : buf.size();
+      mpi.recv(buf.data(), cap, Datatype::kByte, src, tag, w, &st);
+    }
+    auto trunc = mpi.irecv(buf.data(), 1000, Datatype::kByte, 1, 7, w);
+    mpi.send(buf.data(), 1, Datatype::kByte, 1, 8, w);
+    while (!mpi.test(trunc)) (void)mpi.iprobe(kAnySource, kAnyTag, w, &st);
+    mpi.send(buf.data(), 1, Datatype::kByte, 1, 8, w);
+    for (int got = 0; got < 12;) {
+      if (mpi.iprobe(kAnySource, 9, w, &st)) {
+        mpi.recv(buf.data(), buf.size(), Datatype::kByte, kAnySource, 9, w);
+        ++got;
+      }
+    }
+    mpi.compute(300'000);
+    for (int i = 0; i < 12; ++i) {
+      mpi.recv(buf.data(), buf.size(), Datatype::kByte, kAnySource, kAnyTag, w);
+    }
+  });
+  return m;
+}
+
 }  // namespace sp::test
 
 namespace sp::lapi {
