@@ -1,8 +1,6 @@
 #include "hal/hal.hpp"
 
 #include <cassert>
-#include <cstdio>
-#include <string>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -52,11 +50,6 @@ bool Hal::send_packet_impl(int dst, ProtoId proto, std::span<const std::byte> pa
   if (send_buffers_in_use_ >= node_.cfg.hal_send_buffers) return false;
   ++send_buffers_in_use_;
   ++packets_sent_;
-  node_.trace_event("hal.send", [&] {
-    char b[64];
-    std::snprintf(b, sizeof b, "dst=%d proto=%d bytes=%zu", dst, int(proto), payload.size());
-    return std::string(b);
-  });
 
   // Host-side handshake with the adapter microcode. NIC-originated packets
   // skip it: the adapter engine works from pre-posted descriptors.
@@ -142,11 +135,6 @@ void Hal::on_frame_from_fabric(net::Packet&& pkt) {
 void Hal::deliver_to_protocol(net::Packet&& pkt) {
   assert(!pkt.frame.empty());
   const auto proto = static_cast<ProtoId>(pkt.frame[0]);
-  node_.trace_event("hal.deliver", [&] {
-    char b[64];
-    std::snprintf(b, sizeof b, "src=%d proto=%d route=%d", pkt.src, int(proto), pkt.route);
-    return std::string(b);
-  });
   assert(proto < kMaxProto && protocols_[proto] && "frame for unregistered protocol");
   SP_TELEM(node_, sim::Ev::kHalDeliver, static_cast<std::uint64_t>(pkt.src), proto);
   // Zero-copy dispatch: the protocol sees the bytes in place in the pinned
@@ -162,11 +150,6 @@ void Hal::enter_interrupt() {
   ++interrupts_taken_;
   irq_entered_at_ = node_.sim.now();
   SP_TELEM(node_, sim::Ev::kIrqEnter, recv_pending_.size());
-  node_.trace_event("hal.interrupt", [&] {
-    char b[48];
-    std::snprintf(b, sizeof b, "pending=%zu", recv_pending_.size());
-    return std::string(b);
-  });
   // The handler (and its hysteresis busy-wait) occupies the CPU; completions
   // become visible to application threads only when it returns.
   node_.gate.close();

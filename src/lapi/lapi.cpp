@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cassert>
-#include <cstdio>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -135,11 +134,6 @@ void Lapi::amsend(int tgt, int handler_id, const void* uhdr, std::size_t uhdr_le
   }
   ++messages_sent_;
   SP_TELEM(node_, sim::Ev::kAmSend, static_cast<std::uint64_t>(tgt), udata_len);
-  node_.trace_event("lapi.amsend", [&] {
-    char b[64];
-    std::snprintf(b, sizeof b, "tgt=%d handler=%d len=%zu", tgt, handler_id, udata_len);
-    return std::string(b);
-  });
   link(tgt).submit(std::move(m));
 }
 
@@ -560,12 +554,6 @@ void Lapi::on_data_packet(const PktHdr& h, std::span<const std::byte> payload) {
       // Run the header handler (Fig. 2 step 2) in dispatcher context.
       ++header_handlers_run_;
       SP_TELEM(node_, sim::Ev::kHeaderHandler, h.origin, h.total_len);
-      node_.trace_event("lapi.header_handler", [&] {
-        char b[64];
-        std::snprintf(b, sizeof b, "origin=%u msg=%llu len=%u", h.origin,
-                      static_cast<unsigned long long>(h.msg_id), h.total_len);
-        return std::string(b);
-      });
       node_.cpu.charge(node_.sim, node_.cfg.header_handler_ns);
       const auto id = static_cast<std::size_t>(h.handler_or_addr);
       assert(id < handlers_.size() && "unknown header handler id");
@@ -638,7 +626,6 @@ void Lapi::finish_message(std::uint64_t key_origin, std::uint64_t msg_id) {
       // context — no thread switch on the critical path.
       ++completion_inline_runs_;
       SP_TELEM(node_, sim::Ev::kCompletionInline);
-      node_.trace_event("lapi.completion.inline", [] { return std::string(); });
       node_.cpu.charge(node_.sim, node_.cfg.completion_inline_ns);
       in_callback_ = true;
       r.completion(r.cookie);
@@ -649,7 +636,6 @@ void Lapi::finish_message(std::uint64_t key_origin, std::uint64_t msg_id) {
       // context switches dominate the Base MPI-LAPI's overhead (§5.1).
       ++completion_thread_dispatches_;
       SP_TELEM(node_, sim::Ev::kCompletionThread);
-      node_.trace_event("lapi.completion.thread", [] { return std::string(); });
       node_.sim.after(node_.cfg.completion_thread_switch_ns, sim::sched_node_key(node_.node),
                       [this, completion = std::move(r.completion), cookie = r.cookie,
                        post_steps]() mutable {

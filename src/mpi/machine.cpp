@@ -14,7 +14,6 @@ Machine::Machine(const sim::MachineConfig& cfg, int num_tasks, Backend backend)
   if (cfg_.sched_controller != nullptr) {
     sim_.set_schedule_controller(cfg_.sched_controller, cfg_.sched_window_ns);
   }
-  if (cfg_.trace_enabled) trace_ = std::make_unique<sim::Trace>(cfg_.trace_max_events);
   if (cfg_.telemetry_enabled) {
     // Auto-size the ring from the node count so traced runs at scale keep
     // zero drops: per-node floor, explicit knob as the minimum, hard cap so a
@@ -36,7 +35,6 @@ Machine::Machine(const sim::MachineConfig& cfg, int num_tasks, Backend backend)
   for (int t = 0; t < num_tasks_; ++t) {
     auto n = std::make_unique<Node>();
     n->runtime = std::make_unique<sim::NodeRuntime>(sim_, cfg_, t);
-    n->runtime->trace = trace_.get();
     n->runtime->telemetry = telemetry_.get();
     n->hal = std::make_unique<hal::Hal>(*n->runtime, *fabric_);
     // Both transports always exist (the real SP ran them side by side); the

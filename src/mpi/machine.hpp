@@ -67,7 +67,9 @@ class Machine {
 
   /// Digest of every event this machine has run, in order (the determinism
   /// goldens pin it; see sim::EventQueue::schedule_digest).
-  [[nodiscard]] std::uint64_t schedule_digest() const noexcept { return sim_.schedule_digest(); }
+  [[nodiscard]] std::uint64_t schedule_digest() const noexcept {
+    return sim_.schedule_digest();
+  }
 
   /// Aggregate statistics over all nodes (diagnostics / the spsim tool).
   struct Stats {
@@ -131,9 +133,6 @@ class Machine {
   /// Print a human-readable stats block to `out`.
   void print_stats(std::FILE* out) const;
 
-  /// The machine-wide event timeline (null unless cfg.trace_enabled).
-  [[nodiscard]] sim::Trace* trace() noexcept { return trace_.get(); }
-
   /// Structured telemetry (null unless cfg.telemetry_enabled).
   [[nodiscard]] sim::Telemetry* telemetry() noexcept { return telemetry_.get(); }
   [[nodiscard]] const sim::Telemetry* telemetry() const noexcept { return telemetry_.get(); }
@@ -174,7 +173,6 @@ class Machine {
   int num_tasks_;
   Backend backend_;
   sim::Simulator sim_;
-  std::unique_ptr<sim::Trace> trace_;
   std::unique_ptr<sim::Telemetry> telemetry_;
   std::unique_ptr<net::SwitchFabric> fabric_;
   std::unique_ptr<lapi::LapiGroup> lapi_group_;

@@ -302,11 +302,6 @@ struct MachineConfig {
   // --- Simulation ----------------------------------------------------------
   /// Quantum a spinning rank thread advances between memory probes.
   TimeNs spin_check_ns = 500;
-  /// Record a protocol-event timeline (Machine::trace()); off by default.
-  bool trace_enabled = false;
-  /// Cap on retained legacy-trace events; the excess is counted as dropped
-  /// (Trace::dropped()) instead of growing the host heap without bound.
-  std::size_t trace_max_events = std::size_t{1} << 20;
   /// Record structured telemetry (Machine::telemetry()); off by default.
   /// Costs one branch per emission site when off and draws no randomness
   /// either way, so simulated timelines are identical on or off.

@@ -7,7 +7,6 @@
 #include "sim/rank_thread.hpp"
 #include "sim/simulator.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "sim/wake_gate.hpp"
 
 namespace sp::sim {
@@ -30,18 +29,9 @@ struct NodeRuntime {
   WakeGate gate;
   /// The task's application thread; bound by the Machine before it starts.
   RankThread* thread = nullptr;
-  /// Optional event timeline (shared across the machine); null = disabled.
-  Trace* trace = nullptr;
   /// Optional structured telemetry (shared across the machine); null =
   /// disabled. Emit through SP_TELEM/SP_TELEM_HIST (telemetry.hpp).
   Telemetry* telemetry = nullptr;
-
-  /// Emit a trace event if tracing is enabled. `make_detail` is only invoked
-  /// when it is, so call sites pay nothing otherwise.
-  template <typename MakeDetail>
-  void trace_event(const char* category, MakeDetail&& make_detail) {
-    if (trace != nullptr) trace->emit(sim.now(), node, category, make_detail());
-  }
 
   /// Charge API-call overhead or computation to the calling application
   /// thread. Public LAPI/MPI entry points call this; they may only be

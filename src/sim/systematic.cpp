@@ -333,7 +333,6 @@ void systematic_workload(const SystematicOptions& o, mpi::Mpi& mpi, std::vector<
   cfg.burst_drop_len = 1;
   cfg.event_tie_break_salt = 0;
   cfg.telemetry_enabled = false;
-  cfg.trace_enabled = false;
   cfg.sched_controller = ctrl;
   cfg.sched_window_ns = opts.window_ns;
   if (!opts.coll_spec.empty()) {

@@ -28,9 +28,8 @@ inline constexpr int kNumLayers = 8;
 
 [[nodiscard]] const char* layer_name(Layer l) noexcept;
 
-/// Every instrumented protocol point. Names (see event_name) keep the legacy
-/// "layer.point" category convention so timelines read the same as the old
-/// string tracer.
+/// Every instrumented protocol point. Names (see event_name) follow the
+/// "layer.point" convention, e.g. "lapi.header_handler".
 enum class Ev : std::uint16_t {
   // sim
   kRankStart,        ///< a0 = rank
@@ -232,7 +231,7 @@ class Telemetry {
   void export_chrome_json(std::FILE* out) const;
   /// One record per line: t_ns,node,layer,event,a0,a1.
   void export_csv(std::FILE* out) const;
-  /// Human dump in the legacy tracer's column format.
+  /// Human dump, one record per line: time (us), node, event name, a0, a1.
   void export_text(std::FILE* out) const;
   /// Counter + histogram tables (aggregated and per node).
   void print_metrics(std::FILE* out) const;

@@ -3,15 +3,15 @@
 // Every protocol decision in the simulator hangs off the event queue's
 // processing order, which is required to be a total order over (timestamp,
 // insertion sequence) — independent of heap arity, pooling, or any other
-// implementation detail of the queue. These tests run full workloads twice
-// with tracing on, hash the complete event timeline, and require identical
-// digests; two of the digests are additionally pinned to golden values so a
-// queue or packet-path rework that silently perturbs event order fails here
-// rather than in a subtly-shifted benchmark figure.
+// implementation detail of the queue. The queue folds the (time, seq) of
+// every event it runs into a schedule digest. These tests run full workloads
+// twice with no instrumentation switched on and require identical digests;
+// the digests are also pinned to golden values for every backend, so a queue
+// or packet-path rework that silently perturbs event order fails here rather
+// than in a subtly-shifted benchmark figure.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mpi/machine.hpp"
@@ -23,17 +23,17 @@ using sp::mpi::Backend;
 using sp::mpi::Machine;
 using sp::mpi::Mpi;
 using sp::sim::MachineConfig;
-using sp::test::trace_digest;
 
-enum class Workload { kPingPong, kAlltoall, kEarlyArrival };
-constexpr Workload kWorkloads[] = {Workload::kPingPong, Workload::kAlltoall,
-                                   Workload::kEarlyArrival};
+/// Fig. 11 ping-pong: 64 iterations of an 8 KiB bounce between two ranks.
+std::uint64_t pingpong_digest(Backend backend) {
+  return sp::test::run_pingpong(MachineConfig{}, backend, 64, 8 * 1024)->schedule_digest();
+}
 
 /// Eight ranks, twelve rounds of MPI_Alltoall with 2 KiB blocks: a storm of
 /// crossing messages exercising out-of-order arrival across all four routes.
-std::unique_ptr<Machine> run_alltoall(const MachineConfig& cfg, Backend backend) {
-  auto m = std::make_unique<Machine>(cfg, 8, backend);
-  m->run([](Mpi& mpi) {
+std::uint64_t alltoall_digest(Backend backend) {
+  Machine m(MachineConfig{}, 8, backend);
+  m.run([](Mpi& mpi) {
     auto& w = mpi.world();
     const auto n = static_cast<std::size_t>(w.size());
     std::vector<double> src(256 * n, 0.5), dst(256 * n, 0.0);
@@ -41,68 +41,20 @@ std::unique_ptr<Machine> run_alltoall(const MachineConfig& cfg, Backend backend)
       mpi.alltoall(src.data(), 256, dst.data(), sp::mpi::Datatype::kDouble, w);
     }
   });
-  return m;
+  return m.schedule_digest();
 }
 
-/// Ping-pong is Fig. 11's: 64 iterations of an 8 KiB bounce between two
-/// ranks. Early-arrival is the four-rank queue workout in test_harness.hpp.
-std::unique_ptr<Machine> run_workload(Workload wl, const MachineConfig& cfg, Backend backend) {
-  switch (wl) {
-    case Workload::kPingPong:
-      return sp::test::run_pingpong(cfg, backend, 64, 8 * 1024);
-    case Workload::kAlltoall:
-      return run_alltoall(cfg, backend);
-    case Workload::kEarlyArrival:
-      return sp::test::run_early_arrival(cfg, backend);
-  }
-  return nullptr;
+/// The four-rank early-arrival queue workout (test_harness.hpp).
+std::uint64_t unexpected_digest(Backend backend) {
+  return sp::test::run_early_arrival(MachineConfig{}, backend)->schedule_digest();
 }
 
-std::uint64_t legacy_digest(Workload wl, Backend backend) {
-  MachineConfig cfg;
-  cfg.trace_enabled = true;
-  return trace_digest(*run_workload(wl, cfg, backend)->trace());
-}
-std::uint64_t pingpong_digest(Backend b) { return legacy_digest(Workload::kPingPong, b); }
-std::uint64_t alltoall_digest(Backend b) { return legacy_digest(Workload::kAlltoall, b); }
-std::uint64_t unexpected_digest(Backend b) { return legacy_digest(Workload::kEarlyArrival, b); }
-
-/// The queue's schedule digest of a run with every instrumentation switch off
-/// unless `cfg` turns one on.
-std::uint64_t schedule_digest(Workload wl, Backend backend, const MachineConfig& cfg = {}) {
-  return run_workload(wl, cfg, backend)->schedule_digest();
-}
-
-// Golden digests captured from the seed event engine (std::function +
-// std::push_heap). Any change to the event queue or packet path must leave
-// the processing order — and therefore these digests — bit-identical. If a
-// *cost model* change legitimately moves timestamps, re-capture via
-// --gtest_filter=Determinism.* (the test logs the measured values).
-constexpr std::uint64_t kGoldenPingPongEnhanced = 0xdbcf285952ec3da0ULL;
-constexpr std::uint64_t kGoldenAlltoallEnhanced = 0xc3c38118293de855ULL;
-
-TEST(Determinism, PingPongTraceIsReproducible) {
-  const std::uint64_t first = pingpong_digest(Backend::kLapiEnhanced);
-  const std::uint64_t second = pingpong_digest(Backend::kLapiEnhanced);
-  SCOPED_TRACE(testing::Message() << "digest=0x" << std::hex << first);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first, kGoldenPingPongEnhanced)
-      << "event order changed: 0x" << std::hex << first;
-}
-
-TEST(Determinism, AlltoallTraceIsReproducible) {
-  const std::uint64_t first = alltoall_digest(Backend::kLapiEnhanced);
-  const std::uint64_t second = alltoall_digest(Backend::kLapiEnhanced);
-  SCOPED_TRACE(testing::Message() << "digest=0x" << std::hex << first);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first, kGoldenAlltoallEnhanced)
-      << "event order changed: 0x" << std::hex << first;
-}
-
-// Per-backend goldens for the three workloads, captured before the MPCI
-// matching queues moved into the Channel base. Every channel's matching
-// charge lands in its trace timestamps, so a change to the shared matching
-// layer that shifts a charge on any channel fails here.
+// Golden schedule digests (FNV-1a over the (at, seq) of every event run),
+// one row per backend. Every channel's protocol and matching charges land in
+// its event timestamps, so a change to the event queue, the packet path or
+// the shared matching layer that shifts any event on any channel fails here.
+// If a *cost model* change legitimately moves timestamps, re-capture via
+// --gtest_filter=Determinism.* (the failures log the measured values).
 struct BackendGolden {
   Backend backend;
   std::uint64_t pingpong;
@@ -111,15 +63,32 @@ struct BackendGolden {
 };
 // Columns: ping-pong, alltoall, early-arrival.
 constexpr BackendGolden kBackendGoldens[] = {
-    {Backend::kNativePipes, 0x3f333bf1a8768d7cULL, 0x68c5cfbd86ab4256ULL,
-     0x08921f677b4b28efULL},
-    {Backend::kLapiBase, 0x1f97ebc81776ab27ULL, 0xee8fe08c88885c72ULL, 0xd0c95168b6b59fa8ULL},
-    {Backend::kLapiCounters, 0x0b609ba452ec6d27ULL, 0x68b69362e3ac73b3ULL,
-     0x5dd0bd6ccf9dfa88ULL},
-    {Backend::kLapiEnhanced, kGoldenPingPongEnhanced, kGoldenAlltoallEnhanced,
-     0x231634add2411628ULL},
-    {Backend::kRdma, 0xd435c793485db02fULL, 0x0091fec7782b0306ULL, 0xbe2f8e0ef95f4657ULL},
+    {Backend::kNativePipes, 0x7b00e304de6a2725ULL, 0xebd25fe71036b699ULL,
+     0x46e90cf08b9f1ab3ULL},
+    {Backend::kLapiBase, 0x0695e0754430b9f6ULL, 0x69553fb5cec49aafULL, 0xc8fe8d560be7d1daULL},
+    {Backend::kLapiCounters, 0x6290f302c1193a49ULL, 0x7dda2b71aea17a15ULL,
+     0x7aa3b3b832545feeULL},
+    {Backend::kLapiEnhanced, 0x2cb95b983dd51092ULL, 0xdd5350353698eb00ULL,
+     0xc94eb735f63d09dbULL},
+    {Backend::kRdma, 0xb5ceb2d2e92b1332ULL, 0xd5e49f72ced476e2ULL, 0x69d4ecdf598495afULL},
 };
+constexpr const BackendGolden& kEnhanced = kBackendGoldens[3];
+
+TEST(Determinism, PingPongTraceIsReproducible) {
+  const std::uint64_t first = pingpong_digest(Backend::kLapiEnhanced);
+  const std::uint64_t second = pingpong_digest(Backend::kLapiEnhanced);
+  SCOPED_TRACE(testing::Message() << "digest=0x" << std::hex << first);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first, kEnhanced.pingpong) << "event order changed: 0x" << std::hex << first;
+}
+
+TEST(Determinism, AlltoallTraceIsReproducible) {
+  const std::uint64_t first = alltoall_digest(Backend::kLapiEnhanced);
+  const std::uint64_t second = alltoall_digest(Backend::kLapiEnhanced);
+  SCOPED_TRACE(testing::Message() << "digest=0x" << std::hex << first);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first, kEnhanced.alltoall) << "event order changed: 0x" << std::hex << first;
+}
 
 TEST(Determinism, EveryBackendMatchesItsGoldenDigests) {
   for (const BackendGolden& g : kBackendGoldens) {
@@ -130,74 +99,6 @@ TEST(Determinism, EveryBackendMatchesItsGoldenDigests) {
     EXPECT_EQ(pp, g.pingpong) << "ping-pong event order changed: 0x" << std::hex << pp;
     EXPECT_EQ(a2a, g.alltoall) << "alltoall event order changed: 0x" << std::hex << a2a;
     EXPECT_EQ(ea, g.unexpected) << "early-arrival event order changed: 0x" << std::hex << ea;
-  }
-}
-
-// Schedule-digest goldens: the FNV-1a fold of (at, seq) over every event the
-// queue runs, captured with the legacy tracer and telemetry both off.
-// Columns: ping-pong, alltoall, early-arrival.
-constexpr BackendGolden kScheduleGoldens[] = {
-    {Backend::kNativePipes, 0x7b00e304de6a2725ULL, 0xebd25fe71036b699ULL,
-     0x46e90cf08b9f1ab3ULL},
-    {Backend::kLapiBase, 0x0695e0754430b9f6ULL, 0x69553fb5cec49aafULL, 0xc8fe8d560be7d1daULL},
-    {Backend::kLapiCounters, 0x6290f302c1193a49ULL, 0x7dda2b71aea17a15ULL,
-     0x7aa3b3b832545feeULL},
-    {Backend::kLapiEnhanced, 0x2cb95b983dd51092ULL, 0xdd5350353698eb00ULL,
-     0xc94eb735f63d09dbULL},
-    {Backend::kRdma, 0xb5ceb2d2e92b1332ULL, 0xd5e49f72ced476e2ULL, 0x69d4ecdf598495afULL},
-};
-
-std::uint64_t golden_for(const BackendGolden& g, Workload wl) {
-  switch (wl) {
-    case Workload::kPingPong:
-      return g.pingpong;
-    case Workload::kAlltoall:
-      return g.alltoall;
-    case Workload::kEarlyArrival:
-      return g.unexpected;
-  }
-  return 0;
-}
-
-const char* workload_name(Workload wl) {
-  switch (wl) {
-    case Workload::kPingPong:
-      return "ping-pong";
-    case Workload::kAlltoall:
-      return "alltoall";
-    case Workload::kEarlyArrival:
-      return "early-arrival";
-  }
-  return "?";
-}
-
-TEST(Determinism, EveryBackendMatchesItsScheduleDigests) {
-  for (const BackendGolden& g : kScheduleGoldens) {
-    for (Workload wl : kWorkloads) {
-      SCOPED_TRACE(testing::Message() << sp::mpi::backend_name(g.backend) << " "
-                                      << workload_name(wl));
-      const std::uint64_t d = schedule_digest(wl, g.backend);
-      EXPECT_EQ(d, golden_for(g, wl)) << "event order changed: 0x" << std::hex << d;
-    }
-  }
-}
-
-TEST(Determinism, ScheduleDigestIgnoresInstrumentation) {
-  for (const BackendGolden& g : kScheduleGoldens) {
-    for (Workload wl : kWorkloads) {
-      SCOPED_TRACE(testing::Message() << sp::mpi::backend_name(g.backend) << " "
-                                      << workload_name(wl));
-      const std::uint64_t plain = schedule_digest(wl, g.backend);
-      for (const bool trace : {false, true}) {
-        for (const bool telemetry : {false, true}) {
-          MachineConfig cfg;
-          cfg.trace_enabled = trace;
-          cfg.telemetry_enabled = telemetry;
-          EXPECT_EQ(schedule_digest(wl, g.backend, cfg), plain)
-              << "trace=" << trace << " telemetry=" << telemetry;
-        }
-      }
-    }
   }
 }
 

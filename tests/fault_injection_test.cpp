@@ -36,7 +36,6 @@ using sp::sim::MachineConfig;
 using sp::test::expect_bounded_recovery;
 using sp::test::lossy_config;
 using sp::test::soak_mode;
-using sp::test::trace_digest;
 
 struct SoakParam {
   Backend backend;
@@ -324,7 +323,6 @@ TEST(FaultSoak, RdmaStatsAccountForInjectedFaults) {
 std::uint64_t lossy_digest(std::uint64_t seed) {
   MachineConfig cfg = lossy_config(0.03);
   cfg.fabric_seed = seed;
-  cfg.trace_enabled = true;
   Machine m(cfg, 4, Backend::kLapiEnhanced);
   m.run([](Mpi& mpi) {
     auto& w = mpi.world();
@@ -334,7 +332,7 @@ std::uint64_t lossy_digest(std::uint64_t seed) {
       mpi.alltoall(src.data(), 256, dst.data(), sp::mpi::Datatype::kDouble, w);
     }
   });
-  return trace_digest(*m.trace());
+  return m.schedule_digest();
 }
 
 TEST(FaultDeterminism, SameSeedSameLossyTimeline) {

@@ -40,6 +40,21 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
+TEST(EventQueue, ScheduleDigestFoldsRunOrder) {
+  // Same events, same insertion order: same digest. A different tie-break
+  // (the same events run in another order) must change it.
+  auto digest_of = [](std::uint64_t salt) {
+    EventQueue q;
+    q.set_tie_break_salt(salt);
+    for (int i = 0; i < 8; ++i) q.push(i % 2 == 0 ? 5 : 7, [] {});
+    while (!q.empty()) q.pop().second();
+    return q.schedule_digest();
+  };
+  EXPECT_NE(EventQueue{}.schedule_digest(), digest_of(0));
+  EXPECT_EQ(digest_of(0), digest_of(0));
+  EXPECT_NE(digest_of(0), digest_of(0x9e3779b97f4a7c15ULL));
+}
+
 TEST(Simulator, TimeAdvancesMonotonically) {
   Simulator sim;
   TimeNs last = -1;

@@ -1,7 +1,8 @@
 // Telemetry subsystem tests (DESIGN.md §10): ring-buffer bounds, histogram
-// bucketing, exporter output, live snapshots — and the two determinism
-// contracts: an enabled-telemetry run is bit-reproducible (digest-pinned),
-// and enabling telemetry does not perturb the legacy trace timeline.
+// bucketing, the protocol timeline, exporter output, live snapshots — and the
+// two determinism contracts: an enabled-telemetry run is bit-reproducible
+// (digest-pinned), and enabling telemetry does not perturb the event
+// schedule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -96,16 +97,20 @@ TEST(TelemetryHist, RecordAccumulatesPerNode) {
 
 // --- full-machine runs ----------------------------------------------------
 
-/// Fig. 11-style ping-pong with telemetry (and legacy tracing) enabled.
-std::unique_ptr<Machine> traced_pingpong(bool telemetry) {
+/// Fig. 11-style ping-pong, with or without telemetry.
+std::unique_ptr<Machine> traced_pingpong(bool telemetry,
+                                         Backend backend = Backend::kLapiEnhanced) {
   MachineConfig cfg;
-  cfg.trace_enabled = true;
   cfg.telemetry_enabled = telemetry;
-  return sp::test::run_pingpong(cfg, Backend::kLapiEnhanced, 16, 8 * 1024);
+  return sp::test::run_pingpong(cfg, backend, 16, 8 * 1024);
 }
 
-/// FNV-1a over the legacy trace (shared with determinism_test.cpp).
-using sp::test::trace_digest;
+/// The early-arrival workload (test_harness.hpp), with or without telemetry.
+std::unique_ptr<Machine> traced_early_arrival(bool telemetry, Backend backend) {
+  MachineConfig cfg;
+  cfg.telemetry_enabled = telemetry;
+  return sp::test::run_early_arrival(cfg, backend);
+}
 
 // Golden digest of the enabled-telemetry ping-pong timeline. Re-capture via
 // --gtest_filter=TelemetryDeterminism.* if a cost-model change legitimately
@@ -123,14 +128,24 @@ TEST(TelemetryDeterminism, TracedRunIsReproducible) {
       << "telemetry timeline changed: 0x" << std::hex << first;
 }
 
-TEST(TelemetryDeterminism, EnablingTelemetryDoesNotPerturbLegacyTrace) {
+TEST(TelemetryDeterminism, EnablingTelemetryDoesNotPerturbSchedule) {
   // The whole point of the one-branch discipline: the simulated event order
-  // (observed through the legacy tracer) is identical with telemetry on/off.
-  auto traced = traced_pingpong(true);
-  auto untraced = traced_pingpong(false);
-  EXPECT_EQ(untraced->telemetry(), nullptr);
-  EXPECT_EQ(trace_digest(*traced->trace()), trace_digest(*untraced->trace()));
-  EXPECT_EQ(traced->elapsed(), untraced->elapsed());
+  // (the queue's schedule digest) is identical with telemetry on/off.
+  constexpr Backend kBackends[] = {Backend::kNativePipes, Backend::kLapiBase,
+                                   Backend::kLapiCounters, Backend::kLapiEnhanced,
+                                   Backend::kRdma};
+  for (const Backend b : kBackends) {
+    SCOPED_TRACE(sp::mpi::backend_name(b));
+    const auto pp_on = traced_pingpong(true, b);
+    const auto pp_off = traced_pingpong(false, b);
+    EXPECT_EQ(pp_off->telemetry(), nullptr);
+    EXPECT_EQ(pp_on->schedule_digest(), pp_off->schedule_digest());
+    EXPECT_EQ(pp_on->elapsed(), pp_off->elapsed());
+    const auto ea_on = traced_early_arrival(true, b);
+    const auto ea_off = traced_early_arrival(false, b);
+    EXPECT_EQ(ea_on->schedule_digest(), ea_off->schedule_digest());
+    EXPECT_EQ(ea_on->elapsed(), ea_off->elapsed());
+  }
 }
 
 TEST(TelemetryMachine, CountersMatchMachineStats) {
@@ -211,6 +226,67 @@ TEST(TelemetryExport, CsvHeaderAndWidth) {
     ++lines;
   }
   EXPECT_EQ(lines, m->telemetry()->records().size() + 1);
+}
+
+// --- protocol timeline (Fig. 2) --------------------------------------------
+
+/// Rank 0 sends one `bytes`-sized message to rank 1 with telemetry on.
+std::unique_ptr<Machine> one_message(Backend backend, std::size_t bytes,
+                                     bool interrupt_mode = false) {
+  MachineConfig cfg;
+  cfg.telemetry_enabled = true;
+  auto m = std::make_unique<Machine>(cfg, 2, backend);
+  m->run([bytes, interrupt_mode](Mpi& mpi) {
+    auto& w = mpi.world();
+    if (interrupt_mode) mpi.set_interrupt_mode(true);
+    std::vector<std::byte> buf(bytes);
+    if (w.rank() == 0) {
+      mpi.send(buf.data(), buf.size(), sp::mpi::Datatype::kByte, 1, 0, w);
+    } else {
+      mpi.recv(buf.data(), buf.size(), sp::mpi::Datatype::kByte, 0, 0, w);
+    }
+  });
+  return m;
+}
+
+TEST(Trace, DisabledByDefault) {
+  Machine m(MachineConfig{}, 2, Backend::kLapiEnhanced);
+  EXPECT_EQ(m.telemetry(), nullptr);
+}
+
+TEST(Trace, RecordsProtocolEventsInTimeOrder) {
+  const auto m = one_message(Backend::kLapiEnhanced, 512);
+  const Telemetry& t = *m->telemetry();
+  EXPECT_GE(t.counter_total(Ev::kDmaStart), 1u);
+  EXPECT_GE(t.counter_total(Ev::kHalDeliver), 1u);
+  EXPECT_GE(t.counter_total(Ev::kAmSend), 1u);
+  EXPECT_GE(t.counter_total(Ev::kHeaderHandler), 1u);
+  EXPECT_GE(t.counter_total(Ev::kCompletionInline), 1u);
+  EXPECT_EQ(t.counter_total(Ev::kIrqEnter), 0u) << "polling mode takes no interrupts";
+
+  sp::sim::TimeNs last = -1;
+  for (const TraceRecord& r : t.records()) {
+    EXPECT_GE(r.t, last) << "records must be time-ordered";
+    last = r.t;
+  }
+}
+
+TEST(Trace, BaseVariantShowsThreadCompletions) {
+  const auto m = one_message(Backend::kLapiBase, sizeof(int));
+  EXPECT_GE(m->telemetry()->counter_total(Ev::kCompletionThread), 1u);
+  EXPECT_EQ(m->telemetry()->counter_total(Ev::kCompletionInline), 0u);
+}
+
+TEST(Trace, InterruptModeShowsInterrupts) {
+  const auto m = one_message(Backend::kLapiEnhanced, sizeof(int), /*interrupt_mode=*/true);
+  EXPECT_GE(m->telemetry()->counter_total(Ev::kIrqEnter), 1u);
+}
+
+TEST(Trace, DumpIsWellFormed) {
+  const auto m = one_message(Backend::kLapiEnhanced, 512);
+  const std::string text = export_to_string(*m->telemetry(), &Telemetry::export_text);
+  EXPECT_FALSE(text.empty());
+  EXPECT_NE(text.find("lapi.header_handler"), std::string::npos);
 }
 
 // --- live sampling --------------------------------------------------------
@@ -313,28 +389,6 @@ TEST(TelemetryRing, ByteCapHoldsUnderMachineTraffic) {
   EXPECT_GT(t.records_dropped(), 0u);
   EXPECT_EQ(t.records_emitted(),
             t.records_dropped() + t.records().size());
-}
-
-// --- legacy trace cap (the unbounded-growth bugfix) -------------------------
-
-TEST(LegacyTraceCap, MachineHonorsConfiguredCap) {
-  MachineConfig cfg;
-  cfg.trace_enabled = true;
-  cfg.trace_max_events = 16;
-  Machine m(cfg, 2, Backend::kLapiEnhanced);
-  m.run([](Mpi& mpi) {
-    auto& w = mpi.world();
-    std::vector<std::byte> buf(4096);
-    for (int i = 0; i < 8; ++i) {
-      if (w.rank() == 0) {
-        mpi.send(buf.data(), buf.size(), sp::mpi::Datatype::kByte, 1, 0, w);
-      } else {
-        mpi.recv(buf.data(), buf.size(), sp::mpi::Datatype::kByte, 0, 0, w);
-      }
-    }
-  });
-  EXPECT_EQ(m.trace()->events().size(), 16u);
-  EXPECT_GT(m.trace()->dropped(), 0u);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Shared test fixtures (deduplicated from the individual suites).
 //
-// Everything here was copy-pasted across two or more of determinism_test,
-// telemetry_test, fault_injection_test and the mpi_*_test files before being
-// hoisted: the FNV-1a trace digest, the lossy-fabric config builder, the
-// bounded-recovery assertion, the Fig. 11 ping-pong workload, and the
-// two-node LinkRig that unit-tests ReliableLink through real wire traffic.
+// Everything here is used by two or more of determinism_test, telemetry_test,
+// fault_injection_test and the mpi_*_test files: the lossy-fabric config
+// builder, the bounded-recovery assertion, the Fig. 11 ping-pong and the
+// early-arrival workloads, and the two-node LinkRig that unit-tests
+// ReliableLink through real wire traffic.
 // Keep additions header-only (inline) — every test target includes this.
 #pragma once
 
@@ -15,7 +15,6 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,26 +23,6 @@
 #include "mpi/machine.hpp"
 
 namespace sp::test {
-
-/// FNV-1a over the full legacy-trace timeline (time, node, category, detail).
-/// The golden determinism digests are computed with exactly this fold.
-inline std::uint64_t trace_digest(const sim::Trace& trace) {
-  std::uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](const void* data, std::size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const auto& e : trace.events()) {
-    mix(&e.t, sizeof(e.t));
-    mix(&e.node, sizeof(e.node));
-    mix(e.category, std::char_traits<char>::length(e.category));
-    mix(e.detail.data(), e.detail.size());
-  }
-  return h;
-}
 
 /// SP_FAULT_SOAK=1 (the `ctest -L soak` variant / CI nightly) scales the
 /// lossy workloads up; the default keeps the tier-1 suite fast.

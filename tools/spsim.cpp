@@ -555,10 +555,9 @@ int cmd_sweep(const Options& o) {
   return rep.all_ok() && rep.all_verified() ? 0 : 1;
 }
 
-// Shared by trace/metrics: one message exchange with both trace systems on.
+// Shared by trace/metrics: one message exchange with telemetry on.
 std::unique_ptr<mpi::Machine> traced_run(const Options& o) {
   auto cfg = make_config(o);
-  cfg.trace_enabled = true;
   cfg.telemetry_enabled = true;
   const int nodes = o.nodes > 0 ? o.nodes : 2;
   const std::size_t size = o.size > 0 ? o.size : 1024;
@@ -590,7 +589,7 @@ int cmd_trace(const Options& o) {
   } else if (o.format == "csv") {
     m->telemetry()->export_csv(out);
   } else {
-    m->trace()->dump(out);
+    m->telemetry()->export_text(out);
   }
   if (out != stdout) std::fclose(out);
   return 0;
