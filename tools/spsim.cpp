@@ -555,18 +555,23 @@ int cmd_sweep(const Options& o) {
   return rep.all_ok() && rep.all_verified() ? 0 : 1;
 }
 
-// Shared by trace/metrics: one message exchange with telemetry on.
+// Shared by trace/metrics: one message exchange from rank 0 to rank 1 with
+// telemetry on. A one-node machine has no rank 1 to receive it.
 std::unique_ptr<mpi::Machine> traced_run(const Options& o) {
   auto cfg = make_config(o);
   cfg.telemetry_enabled = true;
   const int nodes = o.nodes > 0 ? o.nodes : 2;
+  if (nodes < 2) {
+    std::fprintf(stderr, "spsim: %s needs --nodes >= 2\n", o.cmd.c_str());
+    std::exit(2);
+  }
   const std::size_t size = o.size > 0 ? o.size : 1024;
   auto m = std::make_unique<mpi::Machine>(cfg, nodes, o.backend);
   m->run([&](mpi::Mpi& mpi) {
     auto& w = mpi.world();
     std::vector<std::byte> buf(size);
     if (w.rank() == 0) {
-      mpi.send(buf.data(), size, mpi::Datatype::kByte, 1 % w.size(), 0, w);
+      mpi.send(buf.data(), size, mpi::Datatype::kByte, 1, 0, w);
     } else if (w.rank() == 1) {
       mpi.recv(buf.data(), size, mpi::Datatype::kByte, 0, 0, w);
     }
