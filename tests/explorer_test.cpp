@@ -43,6 +43,46 @@ Perturbation busy_vector() {
   return p;
 }
 
+/// The token the re-ack self-test shrinks to (ExplorerShrink below).
+constexpr const char* kReackToken =
+    "x4-1-2-6-2d78fd0850bc5b9e-a7b31eb489ec9d7e-1-0-0-0-0-3-0-1-0-0-0";
+
+/// Committed tokens of every version with the form token() re-emits and the
+/// Explorer::check verdict ("" = conformant). x2/x3 tokens re-emit as x4; the
+/// x5/x6 rows are systematic_vector() below without and with pins, whose
+/// decision digits force an index past a choice point's candidates.
+struct GoldenToken {
+  const char* token;
+  const char* emitted;
+  const char* verdict;
+};
+constexpr const char* kReackVerdict =
+    "pipes channel invariant violated: re-ack storm: 111 immediate re-acks for 111 duplicate "
+    "deliveries (0 coalesced)";
+constexpr const char* kForcedPastEnd =
+    "systematic replay failed: forced decision index exceeds the candidate count at its choice "
+    "point";
+constexpr GoldenToken kGoldenTokens[] = {
+    {kReackToken, kReackToken, kReackVerdict},
+    {"x3-1-2-6-2d78fd0850bc5b9e-a7b31eb489ec9d7e-1-0-0-0-0-3-0-1-0-0", kReackToken,
+     kReackVerdict},
+    {"x2-1-2-6-2d78fd0850bc5b9e-a7b31eb489ec9d7e-1-0-0-0-0-3-0-1-0", kReackToken, kReackVerdict},
+    {"x5-5c4ed-3-2-1-5eed-0-0-0-0-0-1-0-34-0-0-0-96-200-s10213",
+     "x5-5c4ed-3-2-1-5eed-0-0-0-0-0-1-0-34-0-0-0-96-200-s10213", kForcedPastEnd},
+    {"x6-5c4ed-3-2-1-5eed-0-0-0-0-0-1-0-34-55-0-0-96-200-s10213-1",
+     "x6-5c4ed-3-2-1-5eed-0-0-0-0-0-1-0-34-55-0-0-96-200-s10213-1", kForcedPastEnd},
+};
+
+TEST(ExplorerToken, GoldenTokensReplayByteIdentically) {
+  for (const GoldenToken& g : kGoldenTokens) {
+    const auto p = Perturbation::parse(g.token);
+    ASSERT_TRUE(p.has_value()) << g.token;
+    EXPECT_EQ(p->token(), g.emitted);
+    Explorer ex{Explorer::Options{}};
+    EXPECT_EQ(ex.check(*p).value_or(""), g.verdict) << g.token;
+  }
+}
+
 TEST(ExplorerToken, RoundTripsEveryField) {
   const Perturbation p = busy_vector();
   const std::optional<Perturbation> back = Perturbation::parse(p.token());
@@ -325,6 +365,10 @@ TEST(ExplorerShrink, ReintroducedReackBugIsCaughtAndShrunk) {
   // The token replays standalone: parse it back, verify it still fails, and
   // verify the same vector with the bug knob cleared is conformant (so the
   // failure is attributable to the re-introduced bug, nothing else).
+  // The minted token and the run count are pinned: the shrink order, the
+  // token layout and the budget accounting must all stay byte-identical.
+  EXPECT_EQ(mm.token, kReackToken);
+  EXPECT_EQ(rep.runs, 42);
   const auto parsed = Perturbation::parse(mm.token);
   ASSERT_TRUE(parsed.has_value()) << mm.token;
   EXPECT_EQ(*parsed, mm.shrunk);
@@ -655,8 +699,30 @@ TEST(ExplorerSystematic, ReplayTokensPassCheck) {
   ASSERT_TRUE(demote_tok.has_value());
   EXPECT_EQ(ex.check(*demote_tok), std::nullopt) << demote.token();
 
+  // Collective pins ride in the token (x6: the barrier pin), so a pinned
+  // vector replays the in-network collective phase in the same single run.
+  Perturbation innet;
+  innet.nodes = 2;
+  innet.msgs_per_rank = 1;
+  innet.flags = Perturbation::kFlagSystematic |
+                (static_cast<std::uint32_t>(Backend::kLapiEnhanced) << Perturbation::kBackendShift);
+  innet.coll_algos = 0x55;  // bcast=in_network, allreduce=in_network
+  innet.coll_ext = 5;       // barrier=in_network
+  innet.sched = "1";
+  const auto innet_tok = Perturbation::parse(innet.token());
+  ASSERT_TRUE(innet_tok.has_value());
+  EXPECT_EQ(ex.check(*innet_tok), std::nullopt) << innet.token();
+  // The phase adds choice points (21 -> 35 on this channel): a forced digit
+  // at point 25 is out of range only when the pins brought the phase in.
+  Perturbation deep = *innet_tok;
+  deep.sched = std::string(25, '0') + "f";
+  EXPECT_NE(ex.check(deep), std::nullopt) << deep.token();
+  deep.coll_algos = 0;
+  deep.coll_ext = 0;
+  EXPECT_EQ(ex.check(deep), std::nullopt) << deep.token();
+
   // Each systematic check costs exactly one machine run.
-  EXPECT_EQ(ex.runs(), 2);
+  EXPECT_EQ(ex.runs(), 5);
 }
 
 TEST(ExplorerSystematic, ExplorerBudgetGatesSystematicRuns) {
