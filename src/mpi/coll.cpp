@@ -391,6 +391,12 @@ bool apply_algo_spec(sim::MachineConfig& cfg, const std::string& spec, std::stri
   return true;
 }
 
+bool any_algo_pinned(const sim::MachineConfig& cfg) noexcept {
+  return cfg.coll_bcast_algo != 0 || cfg.coll_allreduce_algo != 0 ||
+         cfg.coll_alltoall_algo != 0 || cfg.coll_reduce_scatter_algo != 0 ||
+         cfg.coll_scan_algo != 0 || cfg.coll_barrier_algo != 0;
+}
+
 // ---------------------------------------------------------------------------
 // Bcast
 // ---------------------------------------------------------------------------

@@ -93,6 +93,9 @@ enum class BarrierAlgo : int {
 /// pin. Returns false (and fills *err when non-null) on an unknown name.
 bool apply_algo_spec(sim::MachineConfig& cfg, const std::string& spec, std::string* err);
 
+/// Whether any primitive (barrier included) is pinned to an algorithm.
+[[nodiscard]] bool any_algo_pinned(const sim::MachineConfig& cfg) noexcept;
+
 /// Derive the tag of phase `phase` of a multi-phase algorithm from the single
 /// collective tag the public call allocated. Phases stay inside the reserved
 /// collective tag space and never collide with the per-call sequence tags.

@@ -7,10 +7,14 @@
 #include <exception>
 #include <map>
 #include <memory>
+#include <limits>
 #include <sstream>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "mpci/channel.hpp"
+#include "mpi/coll.hpp"
 #include "sim/rng.hpp"
 #include "sim/telemetry.hpp"
 
@@ -434,44 +438,115 @@ void check_invariants(mpi::Backend backend, const mpi::Machine& machine,
   }
 }
 
-/// Rebuild a --coll-algo spec from a vector's pin nibbles (the reverse of
-/// apply_algo_spec's name lists) so a systematic token replays its collective
-/// phase under the same pinned algorithms standalone.
-[[nodiscard]] std::string sys_coll_spec(std::uint32_t coll_algos, std::uint32_t coll_ext) {
-  static const char* const kBcast[] = {"auto",              "binomial", "pipelined",
-                                       "scatter_allgather", "nic",      "in_network"};
-  static const char* const kAllreduce[] = {"auto",         "reduce_bcast", "recursive_doubling",
-                                           "rabenseifner", "nic",          "in_network"};
-  static const char* const kAlltoall[] = {"auto", "pairwise", "bruck"};
-  static const char* const kReduceScatter[] = {"auto", "reduce_scatter", "recursive_halving"};
-  static const char* const kScan[] = {"auto", "linear", "binomial"};
-  std::string s;
-  const auto add = [&s](const char* prim, const char* name) {
-    if (!s.empty()) s += ',';
-    s += prim;
-    s += '=';
-    s += name;
-  };
-  if (const std::uint32_t x = coll_algos & 0xF; x >= 1 && x <= 5) add("bcast", kBcast[x]);
-  if (const std::uint32_t x = (coll_algos >> 4) & 0xF; x >= 1 && x <= 5) {
-    add("allreduce", kAllreduce[x]);
+constexpr const char* kHexDigits = "0123456789abcdef";
+
+/// One repro-token field. Token versions are append-only: an "xN" token is
+/// the tag followed by every field whose `since` is <= N, in table order;
+/// fields a version predates keep their Perturbation defaults.
+struct TokenField {
+  int since;         ///< Token version that introduced the field.
+  bool decisions;    ///< "s" + one hex digit per decision (Perturbation::sched).
+  std::uint64_t lo;  ///< Inclusive value range (for decisions, hi is the
+  std::uint64_t hi;  ///< maximum digit count).
+  std::uint64_t (*get)(const Perturbation&);
+  void (*set)(Perturbation&, std::uint64_t);
+};
+
+template <auto M>
+using FieldType = std::remove_cvref_t<decltype(std::declval<Perturbation&>().*M)>;
+template <auto M>
+using WireType = std::make_unsigned_t<FieldType<M>>;
+
+/// A lowercase-hex field; the default range is the member's full width.
+template <auto M>
+constexpr TokenField hex(int since, std::uint64_t lo = 0,
+                         std::uint64_t hi = std::numeric_limits<WireType<M>>::max()) {
+  return {since, false, lo, hi,
+          [](const Perturbation& p) { return static_cast<std::uint64_t>(WireType<M>(p.*M)); },
+          [](Perturbation& p, std::uint64_t v) { p.*M = static_cast<FieldType<M>>(v); }};
+}
+
+constexpr TokenField kTokenFields[] = {
+    hex<&Perturbation::seed>(2),
+    hex<&Perturbation::nodes>(2, 2, 64),
+    hex<&Perturbation::msgs_per_rank>(2, 1, 4096),
+    hex<&Perturbation::workload_seed>(2),
+    hex<&Perturbation::fabric_seed>(2),
+    hex<&Perturbation::drop_ppm>(2, 0, 500'000),  // > 50% loss is not survivable
+    hex<&Perturbation::dup_ppm>(2, 0, 500'000),
+    hex<&Perturbation::route_bias_ppm>(2, 0, 1'000'000),
+    hex<&Perturbation::jitter_ns>(2),
+    hex<&Perturbation::route_skew_ns>(2),
+    hex<&Perturbation::burst>(2, 1, 64),
+    hex<&Perturbation::tie_break_salt>(2),
+    hex<&Perturbation::flags>(2),
+    hex<&Perturbation::coll_algos>(2),  // pin bounds: valid_vector
+    hex<&Perturbation::topology>(3, 0, kTopologyKinds - 1),
+    hex<&Perturbation::channels>(4, 0, 3),
+    hex<&Perturbation::sched_window_ns>(5),
+    hex<&Perturbation::sys_msg_bytes>(5, 1, 65536),
+    {5, true, 0, 4096, nullptr, nullptr},  // an unshrunk runaway schedule is corrupt
+    hex<&Perturbation::coll_ext>(6),       // pin bounds: valid_vector
+};
+
+/// Strict lowercase hex, 1-16 digits. strtoull alone would silently accept
+/// leading whitespace, '+'/'-', "0x" prefixes and wrap values past 16
+/// digits — all of which turn a corrupted token into a plausible-looking
+/// different vector instead of a parse error.
+[[nodiscard]] bool parse_hex(const std::string& s, std::uint64_t& out) {
+  if (s.empty() || s.size() > 16 || s.find_first_not_of(kHexDigits) != std::string::npos) {
+    return false;
   }
-  if (const std::uint32_t x = (coll_algos >> 8) & 0xF; x >= 1 && x <= 2) {
-    add("alltoall", kAlltoall[x]);
+  out = std::strtoull(s.c_str(), nullptr, 16);
+  return true;
+}
+
+/// The cross-field rules of a token of `version`; per-field ranges are in
+/// kTokenFields.
+[[nodiscard]] bool valid_vector(const Perturbation& p, int version) {
+  // Version/flag coherence: x5 is the systematic version, x6 serves both
+  // modes, and x2-x4 predate the flag.
+  const bool sys = (p.flags & Perturbation::kFlagSystematic) != 0;
+  if (sys ? version < 5 : version == 5) return false;
+  // Each mode's unused fields must be at their defaults, so a replay never
+  // silently ignores a field of its token.
+  const Perturbation d;
+  Perturbation neutral = p;
+  if (sys) {
+    neutral.drop_ppm = d.drop_ppm;
+    neutral.dup_ppm = d.dup_ppm;
+    neutral.route_bias_ppm = d.route_bias_ppm;
+    neutral.jitter_ns = d.jitter_ns;
+    neutral.route_skew_ns = d.route_skew_ns;
+    neutral.burst = d.burst;
+    neutral.tie_break_salt = d.tie_break_salt;
+    neutral.channels = d.channels;
+    neutral.flags &= ~(Perturbation::kFlagReackStormBug | Perturbation::kFlagInterruptMode);
+    // The backend nibble must name a real backend; systematic workloads are
+    // bounded (k rides in one byte).
+    const std::uint32_t backend = (p.flags & Perturbation::kBackendMask) >>
+                                  Perturbation::kBackendShift;
+    if (backend > static_cast<std::uint32_t>(mpi::Backend::kRdma) || p.msgs_per_rank > 255) {
+      return false;
+    }
+  } else {
+    neutral.sched_window_ns = d.sched_window_ns;
+    neutral.sys_msg_bytes = d.sys_msg_bytes;
+    neutral.sched = d.sched;
   }
-  if (const std::uint32_t x = (coll_algos >> 12) & 0xF; x >= 1 && x <= 2) {
-    add("reduce_scatter", kReduceScatter[x]);
-  }
-  if (const std::uint32_t x = (coll_algos >> 16) & 0xF; x >= 1 && x <= 2) add("scan", kScan[x]);
-  const std::uint32_t bar = coll_ext & 0xF;
-  if (bar == 1) {
-    add("barrier", "dissemination");
-  } else if (bar == 4) {
-    add("barrier", "nic");
-  } else if (bar == 5) {
-    add("barrier", "in_network");
-  }
-  return s;
+  if (!(neutral == p)) return false;
+  // Pins: apply() then capture() must give them back (no bits outside the
+  // six nibbles), and each must name an algorithm. Bcast/allreduce have
+  // three host algorithms, NIC offload (4) and in-network combining (5);
+  // alltoall/reduce_scatter/scan have two; barrier has dissemination (1),
+  // NIC (4) and in-network (5).
+  const MachineConfig c = p.apply(MachineConfig{});
+  Perturbation back = p;
+  back.capture(c);
+  const int bar = c.coll_barrier_algo;
+  return back == p && c.coll_bcast_algo <= 5 && c.coll_allreduce_algo <= 5 &&
+         c.coll_alltoall_algo <= 2 && c.coll_reduce_scatter_algo <= 2 &&
+         c.coll_scan_algo <= 2 && bar != 2 && bar != 3 && bar <= 5;
 }
 
 }  // namespace
@@ -502,32 +577,29 @@ MachineConfig Perturbation::apply(MachineConfig cfg) const {
   return cfg;
 }
 
+void Perturbation::capture(const MachineConfig& cfg) {
+  const auto pin = [](int algo) { return static_cast<std::uint32_t>(algo) & 0xF; };
+  fabric_seed = cfg.fabric_seed;
+  topology = static_cast<std::uint32_t>(cfg.topology);
+  coll_algos = pin(cfg.coll_bcast_algo) | pin(cfg.coll_allreduce_algo) << 4 |
+               pin(cfg.coll_alltoall_algo) << 8 | pin(cfg.coll_reduce_scatter_algo) << 12 |
+               pin(cfg.coll_scan_algo) << 16;
+  coll_ext = pin(cfg.coll_barrier_algo);
+}
+
 std::string Perturbation::token() const {
-  // Systematic vectors append three fields ("x5"); a barrier pin appends one
-  // more ("x6", which always carries the systematic fields too — versions
-  // stay append-only even when the vector is not systematic). Everything
-  // else keeps the "x4" form so pre-existing pinned tokens stay
-  // byte-identical.
-  const bool sys = (flags & kFlagSystematic) != 0;
-  const bool ext = coll_ext != 0;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%s-%" PRIx64 "-%x-%x-%" PRIx64 "-%" PRIx64 "-%x-%x-%x-%" PRIx64 "-%" PRIx64
-                "-%x-%" PRIx64 "-%x-%x-%x-%x",
-                ext ? "x6" : (sys ? "x5" : "x4"), seed, static_cast<unsigned>(nodes),
-                static_cast<unsigned>(msgs_per_rank), workload_seed, fabric_seed, drop_ppm,
-                dup_ppm, route_bias_ppm, static_cast<std::uint64_t>(jitter_ns),
-                static_cast<std::uint64_t>(route_skew_ns), static_cast<unsigned>(burst),
-                tie_break_salt, flags, coll_algos, topology, channels);
-  std::string t = buf;
-  if (sys || ext) {
-    std::snprintf(buf, sizeof(buf), "-%" PRIx64 "-%x-s",
-                  static_cast<std::uint64_t>(sched_window_ns), sys_msg_bytes);
-    t += buf;
-    t += sched;  // lowercase hex decision digits (possibly empty)
-  }
-  if (ext) {
-    std::snprintf(buf, sizeof(buf), "-%x", coll_ext);
+  // The smallest version that holds the vector; never x2/x3, so every
+  // minted token carries the topology and channel fields.
+  const int version = coll_ext != 0 ? 6 : (flags & kFlagSystematic) != 0 ? 5 : 4;
+  std::string t = "x" + std::to_string(version);
+  for (const TokenField& f : kTokenFields) {
+    if (f.since > version) break;
+    if (f.decisions) {
+      t += "-s" + sched;
+      continue;
+    }
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "-%" PRIx64, f.get(*this));
     t += buf;
   }
   return t;
@@ -545,115 +617,28 @@ std::optional<Perturbation> Perturbation::parse(const std::string& token) {
     }
   }
   parts.push_back(cur);
-  // Version history, append-only so old tokens stay replayable: "x2" is the
-  // pre-topology token (14 fields), "x3" appends topology (default 0 = SP
-  // multistage), "x4" appends the channel-pairing field (default 0 = the
-  // legacy Pipes <-> LAPI pair), "x5" appends the systematic-mode fields
-  // (candidate window, payload length, "s"-prefixed decision digits), "x6"
-  // appends the barrier-pin field (and therefore always carries the
-  // systematic fields, neutral when the vector is not systematic).
-  const bool ext = parts[0] == "x6";
-  const bool sys = parts[0] == "x5" || ext;
-  if (!(ext && parts.size() == 21) && !(parts[0] == "x5" && parts.size() == 20) &&
-      !(parts[0] == "x4" && parts.size() == 17) && !(parts[0] == "x3" && parts.size() == 16) &&
-      !(parts[0] == "x2" && parts.size() == 15)) {
-    return std::nullopt;
-  }
-  // Strict lowercase-hex fields only. strtoull would silently accept leading
-  // whitespace, '+'/'-', "0x" prefixes and wrap values past 16 digits — all
-  // of which turn a corrupted token into a plausible-looking different
-  // vector instead of a parse error.
-  auto u64 = [](const std::string& s, std::uint64_t& out) {
-    if (s.empty() || s.size() > 16) return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-      std::uint64_t d;
-      if (c >= '0' && c <= '9') {
-        d = static_cast<std::uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        d = static_cast<std::uint64_t>(c - 'a' + 10);
-      } else {
-        return false;
-      }
-      v = (v << 4) | d;
-    }
-    out = v;
-    return true;
-  };
-  std::uint64_t v[18] = {};
-  // Numeric fields are parts[1..numeric]; x5/x6 tokens carry the "s..."
-  // decision part at index 19 (x6 appends one more numeric field after it),
-  // everything before it (after the version) is numeric.
-  const std::size_t numeric = sys ? 18 : parts.size() - 1;
-  for (std::size_t i = 0; i < numeric; ++i) {
-    if (!u64(parts[i + 1], v[i])) return std::nullopt;
-  }
+  const std::string& tag = parts[0];
+  if (tag.size() != 2 || tag[0] != 'x' || tag[1] < '2' || tag[1] > '6') return std::nullopt;
+  const int version = tag[1] - '0';
   Perturbation p;
-  p.seed = v[0];
-  p.nodes = static_cast<int>(v[1]);
-  p.msgs_per_rank = static_cast<int>(v[2]);
-  p.workload_seed = v[3];
-  p.fabric_seed = v[4];
-  p.drop_ppm = static_cast<std::uint32_t>(v[5]);
-  p.dup_ppm = static_cast<std::uint32_t>(v[6]);
-  p.route_bias_ppm = static_cast<std::uint32_t>(v[7]);
-  p.jitter_ns = static_cast<TimeNs>(v[8]);
-  p.route_skew_ns = static_cast<TimeNs>(v[9]);
-  p.burst = static_cast<int>(v[10]);
-  p.tie_break_salt = v[11];
-  p.flags = static_cast<std::uint32_t>(v[12]);
-  p.coll_algos = static_cast<std::uint32_t>(v[13]);
-  p.topology = static_cast<std::uint32_t>(v[14]);
-  p.channels = static_cast<std::uint32_t>(v[15]);
-  if (sys) {
-    p.sched_window_ns = static_cast<TimeNs>(v[16]);
-    p.sys_msg_bytes = static_cast<std::uint32_t>(v[17]);
-    const std::string& s = parts[19];
-    if (s.empty() || s[0] != 's') return std::nullopt;
-    p.sched = s.substr(1);
-    for (char c : p.sched) {
-      if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return std::nullopt;
-    }
-    if ((p.flags & kFlagSystematic) != 0) {
-      // The backend nibble must name a real backend; systematic workloads
-      // are bounded (k rides in one byte).
-      const std::uint32_t backend = (p.flags & kBackendMask) >> kBackendShift;
-      if (backend > 4 || p.msgs_per_rank > 255 || p.sys_msg_bytes < 1 ||
-          p.sys_msg_bytes > 65536 || p.sched.size() > 4096) {
+  std::size_t i = 1;
+  for (const TokenField& f : kTokenFields) {
+    if (f.since > version) break;
+    if (i == parts.size()) return std::nullopt;
+    const std::string& s = parts[i++];
+    if (f.decisions) {
+      if (s.empty() || s[0] != 's' || s.size() - 1 > f.hi ||
+          s.find_first_not_of(kHexDigits, 1) != std::string::npos) {
         return std::nullopt;
       }
-    } else if (ext) {
-      // Non-systematic x6 vectors carry the systematic fields inert; a
-      // decision string without the flag is a corrupted token, not a vector.
-      if (!p.sched.empty() || p.sched_window_ns != 0) return std::nullopt;
-    } else {
-      return std::nullopt;  // x5 requires the systematic flag
+      p.sched = s.substr(1);
+      continue;
     }
-  } else if ((p.flags & kFlagSystematic) != 0) {
-    return std::nullopt;  // pre-x5 tokens cannot carry the systematic flag
+    std::uint64_t v = 0;
+    if (!parse_hex(s, v) || v < f.lo || v > f.hi) return std::nullopt;
+    f.set(p, v);
   }
-  if (ext) {
-    std::uint64_t ce = 0;
-    if (!u64(parts[20], ce)) return std::nullopt;
-    // Barrier pins only (one nibble); ids 2-3 do not exist for barrier.
-    if (ce > 5 || ce == 2 || ce == 3) return std::nullopt;
-    p.coll_ext = static_cast<std::uint32_t>(ce);
-  }
-  if (p.nodes < 2 || p.nodes > 64 || p.msgs_per_rank < 1 || p.msgs_per_rank > 4096 ||
-      p.burst < 1 || p.burst > 64 || p.drop_ppm > 500'000 || p.dup_ppm > 500'000 ||
-      p.route_bias_ppm > 1'000'000 || p.topology >= static_cast<std::uint32_t>(kTopologyKinds) ||
-      p.channels > 3) {
-    return std::nullopt;
-  }
-  // Per-primitive pin bounds: bcast/allreduce have 3 host algorithms + the
-  // NIC offload (4) + the in-network combining tables (5) + auto,
-  // alltoall/reduce_scatter/scan have 2 + auto; nothing above the scan
-  // nibble.
-  const std::uint32_t a = p.coll_algos;
-  if ((a >> 20) != 0 || (a & 0xF) > 5 || ((a >> 4) & 0xF) > 5 || ((a >> 8) & 0xF) > 2 ||
-      ((a >> 12) & 0xF) > 2 || ((a >> 16) & 0xF) > 2) {
-    return std::nullopt;
-  }
+  if (i != parts.size() || !valid_vector(p, version)) return std::nullopt;
   return p;
 }
 
@@ -665,8 +650,11 @@ Perturbation Explorer::perturbation_for(std::uint64_t seed) const {
   p.seed = seed;
   p.nodes = opts_.nodes;
   p.msgs_per_rank = opts_.msgs_per_rank;
+  // The fabric seed, topology and collective pins are drawn into a config
+  // and read back with capture(), the inverse of apply().
+  MachineConfig drawn;
   p.workload_seed = u64();
-  p.fabric_seed = u64();
+  drawn.fabric_seed = u64();
 
   // Fault profile classes keep a quarter of the space clean-ish so schedule
   // perturbations (salt/bias/jitter) are also explored without loss noise.
@@ -683,23 +671,26 @@ Perturbation Explorer::perturbation_for(std::uint64_t seed) const {
   if (g.next_below(2) != 0) p.route_skew_ns = static_cast<TimeNs>(g.next_below(4'000));
   if (g.next_below(2) != 0) p.tie_break_salt = u64() | 1;  // never 0 when on
   if (g.next_below(4) == 0) p.flags |= Perturbation::kFlagInterruptMode;
-  // Half the space pins collective algorithms (one nibble per primitive,
-  // 0 = auto within each draw too) so the sweep differentials every
-  // algorithm pairing against both channels and the sequential references.
-  // Bcast/allreduce draw from 5 values: 4 = NIC offload, which host-only
-  // channels resolve to the host auto table (the pin must stay conformant
-  // on every channel either way).
+  // Half the space pins collective algorithms (0 = auto within each draw
+  // too) so the sweep differentials every algorithm pairing against both
+  // channels and the sequential references. Bcast/allreduce draw from 5
+  // values: 4 = NIC offload, which host-only channels resolve to the host
+  // auto table (the pin must stay conformant on every channel either way).
   if (g.next_below(2) != 0) {
-    p.coll_algos = g.next_below(5) | (g.next_below(5) << 4) | (g.next_below(3) << 8) |
-                   (g.next_below(3) << 12) | (g.next_below(3) << 16);
+    drawn.coll_bcast_algo = static_cast<int>(g.next_below(5));
+    drawn.coll_allreduce_algo = static_cast<int>(g.next_below(5));
+    drawn.coll_alltoall_algo = static_cast<int>(g.next_below(3));
+    drawn.coll_reduce_scatter_algo = static_cast<int>(g.next_below(3));
+    drawn.coll_scan_algo = static_cast<int>(g.next_below(3));
   }
   // Half the space runs on a non-SP fabric (drawn last so older fields stay
   // seed-stable); topology must never change MPI results, only schedules.
   // A non-default base-config topology (spsim explore --topology) becomes the
   // other half's default, so nightly sweeps can soak one fabric directly.
-  p.topology = static_cast<std::uint32_t>(opts_.base_config.topology);
+  drawn.topology = opts_.base_config.topology;
   if (g.next_below(2) != 0) {
-    p.topology = 1 + g.next_below(static_cast<std::uint32_t>(kTopologyKinds - 1));
+    drawn.topology =
+        static_cast<TopologyKind>(1 + g.next_below(static_cast<std::uint32_t>(kTopologyKinds - 1)));
   }
   // Half the space brings the RDMA channel into the differential set (drawn
   // after topology so earlier fields stay seed-stable): evenly split between
@@ -707,17 +698,18 @@ Perturbation Explorer::perturbation_for(std::uint64_t seed) const {
   if (g.next_below(2) != 0) p.channels = 1 + g.next_below(3);
   // In-network draws, kept last so every earlier field stays seed-stable:
   // when collectives are pinned, an eighth of the space upgrades the bcast
-  // and/or allreduce nibble to the switch-combining id (5), and a quarter of
-  // the whole space pins the barrier algorithm (the x6 token field; barrier
-  // ids are 1/4/5 — there is no host-algorithm choice beyond dissemination).
-  if (p.coll_algos != 0) {
-    if (g.next_below(8) == 0) p.coll_algos = (p.coll_algos & ~0xFu) | 5u;
-    if (g.next_below(8) == 0) p.coll_algos = (p.coll_algos & ~0xF0u) | (5u << 4);
+  // and/or allreduce pin to switch combining (5), and a quarter of the whole
+  // space pins the barrier algorithm (dissemination 1, NIC 4, in-network 5;
+  // there is no host-algorithm choice beyond dissemination).
+  if (mpi::coll::any_algo_pinned(drawn)) {
+    if (g.next_below(8) == 0) drawn.coll_bcast_algo = 5;
+    if (g.next_below(8) == 0) drawn.coll_allreduce_algo = 5;
   }
   if (g.next_below(4) == 0) {
-    static constexpr std::uint32_t kBarrierIds[] = {1, 4, 5};
-    p.coll_ext = kBarrierIds[g.next_below(3)];
+    static constexpr int kBarrierIds[] = {1, 4, 5};
+    drawn.coll_barrier_algo = kBarrierIds[g.next_below(3)];
   }
+  p.capture(drawn);
   if (opts_.inject_reack_bug) p.flags |= Perturbation::kFlagReackStormBug;
   return p;
 }
@@ -788,34 +780,8 @@ std::optional<std::string> Explorer::check(const Perturbation& p) {
   // absolute (MPI invariants + the analytic schedule-invariant digest), not
   // differential, so the check costs exactly one machine execution.
   if ((p.flags & Perturbation::kFlagSystematic) != 0) {
-    SystematicOptions sopts;
-    sopts.ranks = p.nodes;
-    sopts.msgs_per_rank = p.msgs_per_rank;
-    sopts.msg_bytes = p.sys_msg_bytes;
-    sopts.window_ns = p.sched_window_ns;
-    sopts.backend = static_cast<mpi::Backend>((p.flags & Perturbation::kBackendMask) >>
-                                              Perturbation::kBackendShift);
-    sopts.base_config = opts_.base_config;
-    sopts.coll_spec = sys_coll_spec(p.coll_algos, p.coll_ext);
-    std::vector<std::uint8_t> decisions;
-    decisions.reserve(p.sched.size());
-    for (char c : p.sched) {
-      decisions.push_back(
-          static_cast<std::uint8_t>(c <= '9' ? c - '0' : c - 'a' + 10));
-    }
-    const SystematicRunResult r = systematic_replay(sopts, decisions);
     ++runs_;
-    if (!r.completed) return "systematic replay failed: " + r.error;
-    if (!r.violations.empty()) return "MPI invariant violated: " + r.violations[0];
-    const std::uint64_t expect =
-        systematic_expected_invariant(sopts.ranks, sopts.msgs_per_rank, sopts.msg_bytes);
-    if (r.invariant_digest != expect) {
-      std::ostringstream os;
-      os << "schedule-invariant digest diverged: got " << std::hex << r.invariant_digest
-         << " want " << expect;
-      return os.str();
-    }
-    return std::nullopt;
+    return systematic_check(p, opts_.base_config);
   }
 
   // The channels field picks the differential set; every member must agree
@@ -880,25 +846,11 @@ std::optional<std::string> Explorer::check(const Perturbation& p) {
 
 Perturbation Explorer::shrink(Perturbation p) {
   auto fails = [this](const Perturbation& q) { return check(q).has_value(); };
-  // Exact per-candidate cost (1 systematic / 2 pair / 3 trio) so shrinking a
-  // trio cannot overspend the budget and shrinking a pair doesn't stop a run
-  // early.
+  // Exact per-candidate cost (2 pair / 3 trio) so shrinking a trio cannot
+  // overspend the budget and shrinking a pair doesn't stop a run early.
   auto budget_left = [this](const Perturbation& q) {
     return runs_ + runs_for(q) <= max_runs();
   };
-
-  // Systematic vectors shrink along one axis only: drop trailing schedule
-  // decisions while the replay still fails (the remaining prefix plus the
-  // canonical continuation reproduces the divergence).
-  if ((p.flags & Perturbation::kFlagSystematic) != 0) {
-    while (!p.sched.empty()) {
-      Perturbation q = p;
-      q.sched.pop_back();
-      if (!budget_left(q) || !fails(q)) break;
-      p = q;
-    }
-    return p;
-  }
 
   // Phase 1: ablate knobs to neutral, iterating to a fixpoint — failures
   // often depend on one or two knobs only.

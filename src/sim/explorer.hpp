@@ -69,47 +69,42 @@ struct Perturbation {
   static constexpr std::uint32_t kFlagInterruptMode = 1u << 1;
   /// Systematic-mode vector (DESIGN.md §15): `sched` replays one enumerated
   /// interleaving of the wildcard workload on the backend encoded in bits
-  /// [kBackendShift, kBackendShift+4); fabric knobs must stay neutral.
+  /// [kBackendShift, kBackendShift+4). parse() requires the differential-mode
+  /// knobs (drop, dup, route bias, jitter, skew, salt, channels, burst and the
+  /// two flags above) to stay neutral: the systematic replay never reads them.
   static constexpr std::uint32_t kFlagSystematic = 1u << 2;
   static constexpr std::uint32_t kBackendShift = 4;
   static constexpr std::uint32_t kBackendMask = 0xFu << kBackendShift;
 
-  /// Collective algorithm pins, one nibble per primitive (0 = auto): bits
-  /// [0,4) bcast, [4,8) allreduce, [8,12) alltoall, [12,16) reduce_scatter,
-  /// [16,20) scan. Values are the MachineConfig coll_*_algo enums; parse()
-  /// rejects out-of-range nibbles. Algorithm choice must never change the
-  /// user-visible results, so the pins perturb schedules, not digests of
-  /// collective outputs.
+  /// Collective algorithm pins, one nibble per primitive (0 = auto), as the
+  /// MachineConfig coll_*_algo values. apply() and capture() are the only
+  /// code that knows the nibble layout; parse() rejects a pin that names no
+  /// algorithm. Algorithm choice must never change the user-visible results,
+  /// so the pins perturb schedules, not digests of collective outputs.
   std::uint32_t coll_algos = 0;
 
   /// Interconnect topology (TopologyKind as an integer; 0 = SP multistage).
   /// Topology choice perturbs packet schedules only — MPI results and
   /// collective output digests must be identical on every fabric, which the
-  /// differential check enforces as an observable. Encoded as the
-  /// second-to-last token field ("x3-" tokens); "x2-" tokens parse with
-  /// topology 0.
+  /// differential check enforces as an observable.
   std::uint32_t topology = 0;
 
   /// Which channels the differential check runs: 0 = the legacy pair (Pipes
   /// vs the configured LAPI backend), 1 = Pipes vs RDMA, 2 = LAPI vs RDMA,
   /// 3 = the full trio. Every pairing must produce identical conformance
-  /// digests. Final field of "x4-" tokens; "x2-"/"x3-" tokens parse as 0.
+  /// digests.
   std::uint32_t channels = 0;
 
-  // Systematic-mode fields (kFlagSystematic vectors only; encoded by "x5-"
-  // tokens, which append them after the x4 fields — versions stay
-  // append-only). Non-systematic vectors keep emitting "x4-" tokens.
+  // Systematic-mode fields; parse() requires their defaults on a
+  // non-systematic vector.
   TimeNs sched_window_ns = 0;       ///< Candidate-window width for choice points.
   std::uint32_t sys_msg_bytes = 24; ///< Wildcard payload length (> eager limit = rendezvous).
   /// Decision sequence, one lowercase hex digit per choice point (candidate
   /// index in canonical (at, seq) order); "" replays the canonical schedule.
   std::string sched;
 
-  /// Barrier-algorithm pin in bits [0,4): MachineConfig::coll_barrier_algo
-  /// values (0 auto, 1 dissemination, 4 NIC offload, 5 in-network combining).
-  /// Final field of "x6-" tokens, appended after the systematic fields per
-  /// the append-only rule; token() emits x6 only when this is non-zero, so
-  /// every pre-existing pinned x2/x3/x4/x5 token stays byte-identical.
+  /// Barrier-algorithm pin (the sixth pin, kept apart from coll_algos
+  /// because it arrived with a later token version).
   std::uint32_t coll_ext = 0;
 
   bool operator==(const Perturbation&) const = default;
@@ -118,7 +113,15 @@ struct Perturbation {
   /// explorer uses its digest and ring accounting as observables).
   [[nodiscard]] MachineConfig apply(MachineConfig base) const;
 
-  /// Compact repro token ("x4-..." hex fields); parse() round-trips it.
+  /// Inverse of apply() for the fields a config carries exactly: set the
+  /// fabric seed, topology and the six collective pins from `cfg`.
+  void capture(const MachineConfig& cfg);
+
+  /// Compact repro token: "xN" then lowercase-hex fields, one per entry of
+  /// the token field table in explorer.cpp. Versions are append-only (x2
+  /// seed .. coll_algos, x3 + topology, x4 + channels, x5 + the systematic
+  /// fields, x6 + coll_ext); token() emits x4, x5 for a systematic vector,
+  /// x6 when the barrier is pinned. parse() reads x2-x6 and round-trips it.
   [[nodiscard]] std::string token() const;
   [[nodiscard]] static std::optional<Perturbation> parse(const std::string& token);
 };
@@ -195,11 +198,13 @@ class Explorer {
 
   /// Differential check: run `p` on the channel set its `channels` field
   /// selects; nullopt when conformant, otherwise a human-readable failure
-  /// reason. Counts one run per channel toward runs().
+  /// reason. Counts one run per channel toward runs(). A systematic vector
+  /// instead replays its one interleaving (systematic_check, one run).
   [[nodiscard]] std::optional<std::string> check(const Perturbation& p);
 
-  /// Shrink a failing vector to a minimal one that still fails (any failure
-  /// reason counts). Bounded by the remaining run budget.
+  /// Shrink a failing differential vector to a minimal one that still fails
+  /// (any failure reason counts). Bounded by the remaining run budget.
+  /// Systematic vectors shrink inside systematic_explore instead.
   [[nodiscard]] Perturbation shrink(Perturbation p);
 
   /// Sweep seeds until the budget or seed count is exhausted; shrink the

@@ -27,7 +27,7 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 }
 
 constexpr int kSysTag = 5;
-/// Widest choice point the x5 token can encode (one hex digit per decision).
+/// Widest choice point a repro token can encode (one hex digit per decision).
 constexpr std::size_t kMaxFanout = 16;
 
 /// Expected payload of message #k from src to dst. Byte 0 carries k so the
@@ -281,14 +281,14 @@ void systematic_workload(const SystematicOptions& o, mpi::Mpi& mpi, std::vector<
     if (s != me && next_k[static_cast<std::size_t>(s)] != m) so.order_ok = false;
   }
 
-  // Optional pinned-collective phase (SystematicOptions::coll_spec): barrier +
+  // Pinned-collective phase (any pin in base_config): barrier +
   // non-commutative allreduce + bcast after the wildcard storm, each checked
   // in-fiber against the exact sequential reference. Because the check runs on
   // EVERY enumerated interleaving, any schedule-dependence in the pinned
   // algorithm (e.g. an in-network combining table folding children in arrival
   // order instead of port order) surfaces as a coll_ok violation with a
   // shrunk repro token.
-  if (!o.coll_spec.empty()) {
+  if (mpi::coll::any_algo_pinned(o.base_config)) {
     mpi.barrier(w);
     // kMat2x2 is associative but not commutative: operand-order mistakes
     // cannot cancel the way they can under kSum.
@@ -335,12 +335,6 @@ void systematic_workload(const SystematicOptions& o, mpi::Mpi& mpi, std::vector<
   cfg.telemetry_enabled = false;
   cfg.sched_controller = ctrl;
   cfg.sched_window_ns = opts.window_ns;
-  if (!opts.coll_spec.empty()) {
-    std::string err;
-    if (!mpi::coll::apply_algo_spec(cfg, opts.coll_spec, &err)) {
-      throw std::invalid_argument("systematic coll_spec: " + err);
-    }
-  }
   return cfg;
 }
 
@@ -386,43 +380,56 @@ void systematic_workload(const SystematicOptions& o, mpi::Mpi& mpi, std::vector<
   return r;
 }
 
-[[nodiscard]] std::string decisions_to_hex(const std::vector<std::uint8_t>& d) {
-  static const char* hex = "0123456789abcdef";
-  std::string s;
-  s.reserve(d.size());
-  for (std::uint8_t x : d) s.push_back(hex[x & 0xF]);
-  return s;
+/// The one systematic verdict: nullopt when the run completed, broke no MPI
+/// invariant and folded its received message set to `expect`.
+[[nodiscard]] std::optional<std::string> verdict(const SystematicRunResult& r,
+                                                 std::uint64_t expect) {
+  if (!r.completed) return "systematic replay failed: " + r.error;
+  if (!r.violations.empty()) return "MPI invariant violated: " + r.violations[0];
+  if (r.invariant_digest != expect) {
+    std::ostringstream os;
+    os << "schedule-invariant digest diverged: got " << std::hex << r.invariant_digest
+       << " want " << expect;
+    return os.str();
+  }
+  return std::nullopt;
 }
 
-[[nodiscard]] std::string sys_token(const SystematicOptions& opts,
-                                    const std::vector<std::uint8_t>& decisions) {
+}  // namespace
+
+// The Perturbation <-> SystematicOptions mapping: systematic_vector encodes a
+// run, systematic_check decodes and replays one.
+
+Perturbation systematic_vector(const SystematicOptions& opts,
+                               const std::vector<std::uint8_t>& decisions) {
   Perturbation p;
-  p.seed = 0;
+  p.capture(clean_config(opts, nullptr));
   p.nodes = opts.ranks;
   p.msgs_per_rank = opts.msgs_per_rank;
   p.flags = Perturbation::kFlagSystematic |
             ((static_cast<std::uint32_t>(opts.backend) & 0xF) << Perturbation::kBackendShift);
   p.sched_window_ns = opts.window_ns;
   p.sys_msg_bytes = opts.msg_bytes;
-  p.sched = decisions_to_hex(decisions);
-  // A collective-phase spec rides in the pin nibbles (x6 when the barrier is
-  // pinned) so the token replays the same pinned algorithms standalone.
-  if (!opts.coll_spec.empty()) {
-    MachineConfig c;
-    std::string err;
-    if (mpi::coll::apply_algo_spec(c, opts.coll_spec, &err)) {
-      p.coll_algos = static_cast<std::uint32_t>(c.coll_bcast_algo & 0xF) |
-                     (static_cast<std::uint32_t>(c.coll_allreduce_algo & 0xF) << 4) |
-                     (static_cast<std::uint32_t>(c.coll_alltoall_algo & 0xF) << 8) |
-                     (static_cast<std::uint32_t>(c.coll_reduce_scatter_algo & 0xF) << 12) |
-                     (static_cast<std::uint32_t>(c.coll_scan_algo & 0xF) << 16);
-      p.coll_ext = static_cast<std::uint32_t>(c.coll_barrier_algo & 0xF);
-    }
-  }
-  return p.token();
+  for (std::uint8_t d : decisions) p.sched.push_back("0123456789abcdef"[d & 0xF]);
+  return p;
 }
 
-}  // namespace
+std::optional<std::string> systematic_check(const Perturbation& p, const MachineConfig& base) {
+  SystematicOptions so;
+  so.ranks = p.nodes;
+  so.msgs_per_rank = p.msgs_per_rank;
+  so.msg_bytes = p.sys_msg_bytes;
+  so.window_ns = p.sched_window_ns;
+  so.backend = static_cast<mpi::Backend>((p.flags & Perturbation::kBackendMask) >>
+                                         Perturbation::kBackendShift);
+  so.base_config = p.apply(base);
+  std::vector<std::uint8_t> decisions;
+  for (char c : p.sched) {
+    decisions.push_back(static_cast<std::uint8_t>(c <= '9' ? c - '0' : c - 'a' + 10));
+  }
+  return verdict(systematic_replay(so, decisions),
+                 systematic_expected_invariant(so.ranks, so.msgs_per_rank, so.msg_bytes));
+}
 
 std::uint64_t systematic_expected_invariant(int ranks, int msgs_per_rank,
                                             std::uint32_t msg_bytes) {
@@ -455,18 +462,6 @@ SystematicReport systematic_explore(const SystematicOptions& opts) {
   stack.push_back({});
   bool truncated = false;
 
-  const auto verdict = [&](const SystematicRunResult& r) -> std::string {
-    if (!r.completed) return "run failed: " + r.error;
-    if (!r.violations.empty()) return "MPI invariant violated: " + r.violations[0];
-    if (r.invariant_digest != expect) {
-      std::ostringstream os;
-      os << "schedule-invariant digest diverged: got " << std::hex << r.invariant_digest
-         << " want " << expect;
-      return os.str();
-    }
-    return {};
-  };
-
   while (!stack.empty()) {
     if ((opts.max_runs > 0 && rep.runs >= opts.max_runs) ||
         (opts.max_interleavings > 0 && rep.interleavings >= opts.max_interleavings)) {
@@ -482,8 +477,7 @@ SystematicReport systematic_explore(const SystematicOptions& opts) {
       rep.max_fanout = static_cast<int>(ctrl.max_fanout());
     }
 
-    const std::string fail = verdict(r);
-    if (!fail.empty()) {
+    if (const std::optional<std::string> fail = verdict(r, expect)) {
       // Full decision record reproduces this exact run; shrink by dropping
       // trailing decisions while the replay still fails the same way.
       std::vector<std::uint8_t> full;
@@ -492,17 +486,17 @@ SystematicReport systematic_explore(const SystematicOptions& opts) {
         full.push_back(static_cast<std::uint8_t>(pt.chosen));
       }
       SystematicReport::Mismatch mm;
-      mm.reason = fail;
-      mm.original_token = sys_token(opts, full);
+      mm.reason = *fail;
+      mm.original_token = systematic_vector(opts, full).token();
       std::vector<std::uint8_t> cur = full;
       while (!cur.empty() && (opts.max_runs == 0 || rep.runs < opts.max_runs)) {
         std::vector<std::uint8_t> cand(cur.begin(), cur.end() - 1);
         const SystematicRunResult rr = systematic_replay(opts, cand);
         ++rep.runs;
-        if (verdict(rr).empty()) break;
+        if (!verdict(rr, expect)) break;
         cur = std::move(cand);
       }
-      mm.token = sys_token(opts, cur);
+      mm.token = systematic_vector(opts, cur).token();
       if (opts.log != nullptr) {
         std::fprintf(opts.log,
                      "systematic: FAILED after %ld runs: %s\n  repro: spsim explore --repro=%s\n",

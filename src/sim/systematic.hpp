@@ -9,8 +9,8 @@
 // relation from sim/sched.hpp prunes interleavings that only reorder
 // commuting events. A complete enumeration yields a certificate — "all N
 // non-equivalent interleavings conformant" — with a pinned digest; any run
-// that breaks an MPI invariant is encoded as an `x5-` repro token that
-// `spsim explore --repro=` replays standalone.
+// that breaks an MPI invariant is encoded as an `x5-` repro token (`x6-` when
+// the barrier is pinned) that `spsim explore --repro=` replays standalone.
 //
 // The engine runs a wildcard-heavy workload (every receive is
 // MPI_ANY_SOURCE, so the matching order genuinely depends on the schedule)
@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,15 +50,12 @@ struct SystematicOptions {
   /// duplicates — the sleep-set non-redundancy check (O(events^2) per run,
   /// test-sized configs only).
   bool canonical_check = false;
-  /// Optional collective phase: a --coll-algo spec (e.g.
-  /// "allreduce=in_network,bcast=in_network,barrier=in_network") applied to
-  /// the machine config; the workload then appends a barrier + non-commutative
-  /// allreduce + bcast after the wildcard phase, each checked in-fiber
-  /// against the exact sequential reference on EVERY interleaving — pinning
-  /// that the pinned algorithm is schedule-invariant. Empty = off (the
-  /// pre-existing certificates are enumerated over the unchanged workload).
-  std::string coll_spec{};
   std::FILE* log = nullptr;
+  /// Cost model. Fault knobs and telemetry are neutralised per run. When it
+  /// pins any collective algorithm, the workload appends a collective phase
+  /// (barrier + non-commutative allreduce + bcast after the wildcard phase),
+  /// each checked in-fiber against the exact sequential reference on EVERY
+  /// interleaving — pinning that the pinned algorithm is schedule-invariant.
   MachineConfig base_config{};
 };
 
@@ -99,7 +97,7 @@ struct SystematicReport {
 
   struct Mismatch {
     std::string reason;
-    std::string token;           ///< Shrunk x5 repro token.
+    std::string token;           ///< Shrunk x5/x6 repro token.
     std::string original_token;  ///< Pre-shrink token of the failing run.
   };
   std::vector<Mismatch> mismatches;
@@ -119,5 +117,22 @@ struct SystematicReport {
 /// Enumerate all non-equivalent interleavings by DFS with sleep sets.
 /// Stops early on budget exhaustion or the first mismatch (complete=false).
 [[nodiscard]] SystematicReport systematic_explore(const SystematicOptions& opts);
+
+struct Perturbation;  // sim/explorer.hpp
+
+/// The repro vector of one run: workload shape, backend and decisions from
+/// `opts`, and the fabric seed, topology and collective pins of the config
+/// the run used (Perturbation::capture); every other knob stays neutral. Its
+/// token() is what systematic_explore reports for a failing run.
+[[nodiscard]] Perturbation systematic_vector(const SystematicOptions& opts,
+                                             const std::vector<std::uint8_t>& decisions);
+
+/// The inverse: replay one systematic vector (Perturbation::kFlagSystematic, e.g. a parsed
+/// x5/x6 token) on `base` overlaid with Perturbation::apply, as
+/// Explorer::check does for differential vectors. One machine execution;
+/// nullopt when conformant, otherwise the verdict systematic_explore would
+/// report for the same run.
+[[nodiscard]] std::optional<std::string> systematic_check(const Perturbation& p,
+                                                          const MachineConfig& base);
 
 }  // namespace sp::sim

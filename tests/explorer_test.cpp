@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "mpi/coll.hpp"
 #include "sim/explorer.hpp"
 #include "test_harness.hpp"
 
@@ -469,6 +471,40 @@ TEST(ExplorerToken, RejectsMalformedSystematic) {
   q = p;
   q.sched.assign(5000, '0');  // unshrunk runaway schedule
   reject(q);
+
+  // Each mode's unused fields must be at their defaults. A systematic replay
+  // reads none of the differential-mode knobs...
+  const std::vector<void (*)(Perturbation&)> differential_only = {
+      [](Perturbation& v) { v.drop_ppm = 100'000; },
+      [](Perturbation& v) { v.dup_ppm = 100'000; },
+      [](Perturbation& v) { v.route_bias_ppm = 250'000; },
+      [](Perturbation& v) { v.jitter_ns = 1'000; },
+      [](Perturbation& v) { v.route_skew_ns = 1'000; },
+      [](Perturbation& v) { v.tie_break_salt = 0xff; },
+      [](Perturbation& v) { v.channels = 3; },
+      [](Perturbation& v) { v.burst = 2; },
+      [](Perturbation& v) { v.flags |= Perturbation::kFlagInterruptMode; },
+      [](Perturbation& v) { v.flags |= Perturbation::kFlagReackStormBug; },
+  };
+  for (const auto set : differential_only) {
+    q = p;
+    set(q);
+    reject(q);
+  }
+  // ...and a differential x6 vector reads none of the systematic fields.
+  Perturbation diff = busy_vector();
+  diff.coll_ext = 1;
+  ASSERT_TRUE(Perturbation::parse(diff.token()).has_value()) << diff.token();
+  const std::vector<void (*)(Perturbation&)> systematic_only = {
+      [](Perturbation& v) { v.sched_window_ns = 150; },
+      [](Perturbation& v) { v.sys_msg_bytes = 512; },
+      [](Perturbation& v) { v.sched.push_back('1'); },
+  };
+  for (const auto set : systematic_only) {
+    q = diff;
+    set(q);
+    reject(q);
+  }
 }
 
 TEST(ExplorerToken, X6TokensRoundTripAndValidate) {
@@ -519,6 +555,42 @@ TEST(ExplorerToken, X6TokensRoundTripAndValidate) {
   Perturbation q = p;
   q.sched = "102";
   reject(q);
+}
+
+TEST(ExplorerToken, EveryPinRoundTripsThroughTheToken) {
+  // Every valid value of each of the six pins, set by name through
+  // apply_algo_spec, survives config -> capture() -> token() -> parse() ->
+  // apply() unchanged — alone, and with every primitive pinned at once.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> kPins = {
+      {"bcast", {"auto", "binomial", "pipelined", "scatter_allgather", "nic", "in_network"}},
+      {"allreduce",
+       {"auto", "reduce_bcast", "recursive_doubling", "rabenseifner", "nic", "in_network"}},
+      {"alltoall", {"auto", "pairwise", "bruck"}},
+      {"reduce_scatter", {"auto", "reduce_scatter", "recursive_halving"}},
+      {"scan", {"auto", "linear", "binomial"}},
+      {"barrier", {"auto", "dissemination", "nic", "in_network"}},
+  };
+  const auto pins = [](const MachineConfig& c) {
+    return std::vector<int>{c.coll_bcast_algo,          c.coll_allreduce_algo,
+                            c.coll_alltoall_algo,       c.coll_reduce_scatter_algo,
+                            c.coll_scan_algo,           c.coll_barrier_algo};
+  };
+  const auto round_trip = [&](const std::string& spec) {
+    MachineConfig cfg;
+    std::string err;
+    ASSERT_TRUE(mpi::coll::apply_algo_spec(cfg, spec, &err)) << err;
+    Perturbation p;
+    p.capture(cfg);
+    const auto back = Perturbation::parse(p.token());
+    ASSERT_TRUE(back.has_value()) << spec << " -> " << p.token();
+    EXPECT_EQ(pins(back->apply(MachineConfig{})), pins(cfg)) << spec;
+  };
+  std::string all;
+  for (const auto& [prim, names] : kPins) {
+    for (const std::string& name : names) round_trip(prim + "=" + name);
+    all += (all.empty() ? "" : ",") + prim + "=" + names.back();
+  }
+  round_trip(all);
 }
 
 TEST(ExplorerToken, RejectsGarbageHexFields) {
@@ -607,6 +679,16 @@ TEST(ExplorerToken, FuzzParseTokenRoundTrip) {
       p.sched.clear();
       for (int i = 0; i < len; ++i)
         p.sched.push_back("0123456789abcdef"[next() % 16]);
+      // The differential-mode knobs drawn above are unused by a systematic
+      // replay, so a token carrying them is rejected; neutralised, the same
+      // vector goes through the checks below.
+      EXPECT_FALSE(Perturbation::parse(p.token()).has_value()) << p.token();
+      p.drop_ppm = p.dup_ppm = p.route_bias_ppm = 0;
+      p.jitter_ns = p.route_skew_ns = 0;
+      p.burst = 1;
+      p.tie_break_salt = 0;
+      p.channels = 0;
+      p.flags &= ~Perturbation::kFlagInterruptMode;
     }
     const std::string tok = p.token();
     const auto back = Perturbation::parse(tok);
@@ -723,6 +805,33 @@ TEST(ExplorerSystematic, ReplayTokensPassCheck) {
 
   // Each systematic check costs exactly one machine run.
   EXPECT_EQ(ex.runs(), 5);
+}
+
+TEST(ExplorerSystematic, MintedTokensCarryTheConfigTheyRan) {
+  // systematic_vector() is the token systematic_explore mints for a failing
+  // run. It must carry the run's pins, topology and fabric seed, so the
+  // token replays the same machine on a default base config.
+  SystematicOptions so;
+  so.ranks = 2;
+  so.backend = Backend::kRdma;
+  so.base_config.topology = TopologyKind::kFatTree;
+  so.base_config.fabric_seed = 0x1234;
+  std::string err;
+  ASSERT_TRUE(mpi::coll::apply_algo_spec(
+      so.base_config, "bcast=in_network,allreduce=in_network,barrier=in_network", &err))
+      << err;
+  const std::vector<std::uint8_t> decisions{1, 0, 1, 1};
+  const auto p = Perturbation::parse(systematic_vector(so, decisions).token());
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->sched, "1011");
+  const MachineConfig ran = p->apply(MachineConfig{});
+  EXPECT_EQ(ran.topology, so.base_config.topology);
+  EXPECT_EQ(ran.fabric_seed, so.base_config.fabric_seed);
+  EXPECT_EQ(ran.coll_bcast_algo, so.base_config.coll_bcast_algo);
+  EXPECT_EQ(ran.coll_allreduce_algo, so.base_config.coll_allreduce_algo);
+  EXPECT_EQ(ran.coll_barrier_algo, so.base_config.coll_barrier_algo);
+  Explorer ex{Explorer::Options{}};
+  EXPECT_EQ(ex.check(*p), std::nullopt);
 }
 
 TEST(ExplorerSystematic, ExplorerBudgetGatesSystematicRuns) {

@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "mpi/coll.hpp"
 #include "sim/systematic.hpp"
 #include "test_harness.hpp"
 
@@ -90,9 +92,9 @@ TEST(Systematic, PinnedCertificateThreeRank) {
 }
 
 // ---------------------------------------------------------------------------
-// In-network combining certificates (DESIGN.md §16). The coll_spec option
-// appends barrier + non-commutative kMat2x2 allreduce + bcast — all pinned
-// through the switch combining tables — after the wildcard storm, and checks
+// In-network combining certificates (DESIGN.md §16). Pinning collectives in
+// base_config appends barrier + non-commutative kMat2x2 allreduce + bcast —
+// all pinned through the switch combining tables — after the wildcard storm, and checks
 // each against the exact sequential reference on EVERY interleaving. A single
 // distinct outcome is the stash-then-fold determinism claim in certificate
 // form: no arrival interleaving below the MPI layer can change what the
@@ -105,7 +107,8 @@ constexpr std::uint64_t kCertInNetwork3RankPrefix = 0xe016609bb9068d79ULL;
 
 SystematicOptions innet_opts(sp::mpi::Backend backend, int ranks) {
   SystematicOptions so = base_opts(backend, ranks);
-  so.coll_spec = kInNetworkSpec;
+  std::string err;
+  EXPECT_TRUE(sp::mpi::coll::apply_algo_spec(so.base_config, kInNetworkSpec, &err)) << err;
   return so;
 }
 

@@ -31,8 +31,10 @@
 //   --testbed tbmx|tb3 node/adapter generation (default tbmx)
 //   --coll-algo SPEC   pin collective algorithms, e.g.
 //                      "allreduce=rabenseifner,bcast=pipelined" ("all=auto"
-//                      clears every pin; explore ignores this — its
-//                      perturbation vectors carry their own pins)
+//                      clears every pin). The seeded explore sweep and
+//                      --repro ignore it (each vector carries its own pins);
+//                      explore --systematic adds a collective phase under
+//                      these pins, so there the spec must pin something
 //   --topology T       interconnect: sp (default), fattree, torus2d, torus3d,
 //                      dragonfly (DESIGN.md §13)
 //   --trace-ring BYTES telemetry ring size; overrides the per-node auto-scaling
@@ -278,6 +280,16 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
+/// Apply --coll-algo to `cfg`; a bad spec exits 2.
+void apply_coll_algo(const Options& o, sim::MachineConfig& cfg) {
+  if (o.coll_algo.empty()) return;
+  std::string err;
+  if (!mpi::coll::apply_algo_spec(cfg, o.coll_algo, &err)) {
+    std::fprintf(stderr, "spsim: bad --coll-algo: %s\n", err.c_str());
+    std::exit(2);
+  }
+}
+
 sim::MachineConfig make_config(const Options& o) {
   sim::MachineConfig cfg = o.tb3 ? sim::MachineConfig::tb3_p2sc() : sim::MachineConfig::tbmx_332();
   cfg.eager_limit = o.eager;
@@ -298,13 +310,7 @@ sim::MachineConfig make_config(const Options& o) {
     cfg.telemetry_ring_bytes = static_cast<std::size_t>(o.trace_ring);
     cfg.telemetry_ring_bytes_per_node = 0;
   }
-  if (!o.coll_algo.empty()) {
-    std::string err;
-    if (!mpi::coll::apply_algo_spec(cfg, o.coll_algo, &err)) {
-      std::fprintf(stderr, "spsim: bad --coll-algo: %s\n", err.c_str());
-      std::exit(2);
-    }
-  }
+  apply_coll_algo(o, cfg);
   return cfg;
 }
 
@@ -632,7 +638,7 @@ int cmd_stats(const Options& o) {
 /// nightly jq gate (interleavings > 0, mismatches == 0), human-readable
 /// enough to paste into a bug report. Empty path = stdout only (skipped).
 bool write_certificate(const sim::SystematicReport& rep, const sim::SystematicOptions& so,
-                       const std::string& path) {
+                       const std::string& coll_spec, const std::string& path) {
   if (path.empty()) return true;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
@@ -644,7 +650,7 @@ bool write_certificate(const sim::SystematicReport& rep, const sim::SystematicOp
   std::fprintf(f, "  \"msg_bytes\": %u,\n", so.msg_bytes);
   std::fprintf(f, "  \"depth\": %d,\n", so.depth);
   std::fprintf(f, "  \"window_ns\": %lld,\n", static_cast<long long>(so.window_ns));
-  std::fprintf(f, "  \"coll_spec\": \"%s\",\n", so.coll_spec.c_str());
+  std::fprintf(f, "  \"coll_spec\": \"%s\",\n", coll_spec.c_str());
   std::fprintf(f, "  \"complete\": %s,\n", rep.complete ? "true" : "false");
   std::fprintf(f, "  \"depth_limited\": %s,\n", rep.depth_limited ? "true" : "false");
   std::fprintf(f, "  \"interleavings\": %ld,\n", rep.interleavings);
@@ -686,6 +692,14 @@ int cmd_explore(const Options& o) {
     std::fprintf(stderr, "spsim: bad --topology: %s\n", o.topology.c_str());
     return 2;
   }
+  apply_coll_algo(o, eo.base_config);
+  if (o.systematic && !o.coll_algo.empty() && !mpi::coll::any_algo_pinned(eo.base_config)) {
+    std::fprintf(stderr,
+                 "spsim: --coll-algo %s pins no algorithm; explore --systematic runs its "
+                 "collective phase only under a pin\n",
+                 o.coll_algo.c_str());
+    return 2;
+  }
   sim::Explorer ex(eo);
 
   if (!o.repro.empty()) {
@@ -701,7 +715,7 @@ int cmd_explore(const Options& o) {
     const bool sys_token = (p->flags & sim::Perturbation::kFlagSystematic) != 0;
     if (!o.trace_out.empty() && sys_token) {
       std::fprintf(stderr,
-                   "spsim: --trace-out is not supported for systematic (x5) tokens\n");
+                   "spsim: --trace-out is not supported for systematic (x5/x6) tokens\n");
     } else if (!o.trace_out.empty() &&
                !ex.export_trace(*p, eo.lapi_backend, o.trace_out)) {
       std::fprintf(stderr, "spsim: trace export to %s failed\n", o.trace_out.c_str());
@@ -719,13 +733,12 @@ int cmd_explore(const Options& o) {
     so.backend = o.backend;
     so.max_interleavings = o.interleavings;
     so.canonical_check = false;
-    so.coll_spec = o.coll_algo;  // pinned collective phase checked per interleaving
     so.log = stdout;
     std::printf("# explore --systematic: %d ranks, %d msgs/rank, %lld-byte payloads, %s%s%s\n",
                 so.ranks, so.msgs_per_rank, o.msg_bytes, mpi::backend_name(so.backend),
-                so.coll_spec.empty() ? "" : ", coll ", so.coll_spec.c_str());
+                o.coll_algo.empty() ? "" : ", coll ", o.coll_algo.c_str());
     const sim::SystematicReport rep = ex.explore_systematic(so);
-    if (!write_certificate(rep, so, o.cert_out)) {
+    if (!write_certificate(rep, so, o.coll_algo, o.cert_out)) {
       std::fprintf(stderr, "spsim: writing certificate to %s failed\n", o.cert_out.c_str());
       return 2;
     }
