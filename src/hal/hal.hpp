@@ -44,6 +44,8 @@ class Hal {
 
   /// Register the receive upcall for protocol `proto`.
   void register_protocol(ProtoId proto, RecvFn fn);
+  /// The upcall registered for `proto` (lets a test rig interpose on delivery).
+  [[nodiscard]] const RecvFn& protocol(ProtoId proto) const { return protocols_[proto]; }
 
   /// Register a NIC-resident protocol (DESIGN.md §14). Inbound frames for a
   /// NIC protocol never touch the host: the adapter DMA uses the pre-posted

@@ -29,14 +29,18 @@ RdmaNic::RdmaNic(sim::NodeRuntime& node, Hal& hal) : node_(node), hal_(hal) {
   });
 }
 
-lapi::ReliableLink& RdmaNic::link(int peer) {
+MessageLink& RdmaNic::link(int peer) {
   auto it = links_.find(peer);
   if (it == links_.end()) {
-    lapi::ReliableLink::Profile prof;
-    prof.proto = kProtoRdma;
-    prof.header_bytes = node_.cfg.rdma_header_bytes;
-    prof.nic_context = true;
-    it = links_.emplace(peer, std::make_unique<lapi::ReliableLink>(node_, hal_, peer, prof)).first;
+    // Link events report under the lapi.* telemetry kinds: the adapter speaks
+    // LAPI's message framing.
+    const ReliableLink::Profile prof{.proto = kProtoRdma,
+                                     .header_bytes = node_.cfg.rdma_header_bytes,
+                                     .nic_context = true,
+                                     .retransmit_ev = sim::Ev::kLapiRetransmit,
+                                     .dup_ev = sim::Ev::kLapiDupRecv,
+                                     .ack_ev = sim::Ev::kLapiAck};
+    it = links_.emplace(peer, std::make_unique<MessageLink>(node_, hal_, peer, prof)).first;
   }
   return *it->second;
 }
@@ -44,7 +48,7 @@ lapi::ReliableLink& RdmaNic::link(int peer) {
 void RdmaNic::post_write(int dst, std::vector<std::byte> imm, const std::byte* data,
                          std::size_t len, std::function<void()> on_origin_done) {
   ++writes_;
-  lapi::ReliableLink::Message m;
+  MessageLink::Message m;
   m.meta.kind = static_cast<std::uint8_t>(RdmaKind::kWrite);
   m.meta.msg_id = next_msg_id_++;
   m.meta.origin = static_cast<std::uint32_t>(hal_.node());
@@ -59,7 +63,7 @@ void RdmaNic::post_write(int dst, std::vector<std::byte> imm, const std::byte* d
 void RdmaNic::post_write_owned(int dst, std::vector<std::byte> imm, std::vector<std::byte> data,
                                std::function<void()> on_origin_done) {
   ++writes_;
-  lapi::ReliableLink::Message m;
+  MessageLink::Message m;
   m.meta.kind = static_cast<std::uint8_t>(RdmaKind::kWrite);
   m.meta.msg_id = next_msg_id_++;
   m.meta.origin = static_cast<std::uint32_t>(hal_.node());
@@ -70,15 +74,15 @@ void RdmaNic::post_write_owned(int dst, std::vector<std::byte> imm, std::vector<
   link(dst).submit(std::move(m));
 }
 
-lapi::Token RdmaNic::register_region(const std::byte* data, std::size_t len) {
-  const lapi::Token t = next_region_token_++;
+Token RdmaNic::register_region(const std::byte* data, std::size_t len) {
+  const Token t = next_region_token_++;
   regions_.emplace(t, Region{data, len});
   return t;
 }
 
-void RdmaNic::deregister_region(lapi::Token token) { regions_.erase(token); }
+void RdmaNic::deregister_region(Token token) { regions_.erase(token); }
 
-void RdmaNic::post_read(int src, lapi::Token token, std::byte* local, std::size_t len,
+void RdmaNic::post_read(int src, Token token, std::byte* local, std::size_t len,
                         std::function<void()> on_done) {
   ++reads_;
   if (len == 0) {
@@ -87,7 +91,7 @@ void RdmaNic::post_read(int src, lapi::Token token, std::byte* local, std::size_
   }
   const std::uint32_t req_id = next_read_id_++;
   pending_reads_.emplace(req_id, PendingRead{local, len, 0, std::move(on_done)});
-  lapi::ReliableLink::Message m;
+  MessageLink::Message m;
   m.meta.kind = static_cast<std::uint8_t>(RdmaKind::kReadReq);
   m.meta.msg_id = next_msg_id_++;
   m.meta.origin = static_cast<std::uint32_t>(hal_.node());
@@ -97,18 +101,19 @@ void RdmaNic::post_read(int src, lapi::Token token, std::byte* local, std::size_
   link(src).submit(std::move(m));
 }
 
-void RdmaNic::on_hal_packet(int src, std::span<const std::byte> bytes) {
-  assert(bytes.size() >= lapi::kPktHdrBytes);
-  const lapi::PktHdr h = lapi::parse_hdr(bytes);
-
-  if (h.kind == static_cast<std::uint8_t>(lapi::Kind::kAck)) {
-    link(src).on_ack(h.pkt_seq);
+void RdmaNic::on_hal_packet(int src, std::span<const std::byte> frame) {
+  const LinkHdr lh = parse_link_hdr(frame);
+  if (lh.ack != 0) {
+    link(src).on_ack(lh.seq);
     return;
   }
-  if (!link(src).accept(h.pkt_seq)) return;  // duplicate
+  if (!link(src).accept(lh.seq)) return;  // duplicate
 
-  const std::size_t uhdr_off = lapi::kPktHdrBytes;
-  const bool first = (h.flags & lapi::kFlagFirst) != 0;
+  const std::span<const std::byte> bytes = frame.subspan(sizeof(LinkHdr));
+  assert(bytes.size() >= kPktHdrBytes);
+  const PktHdr h = parse_hdr(bytes);
+  const std::size_t uhdr_off = kPktHdrBytes;
+  const bool first = (h.flags & kFlagFirst) != 0;
   const std::size_t uhdr_len = first ? h.uhdr_len : 0;
   const std::span<const std::byte> uhdr = bytes.subspan(uhdr_off, uhdr_len);
   const std::span<const std::byte> data = bytes.subspan(uhdr_off + uhdr_len, h.data_len);
@@ -195,7 +200,7 @@ void RdmaNic::dispatch_write_in_order(int src, Reassembly&& m) {
   }
 }
 
-void RdmaNic::handle_read_req(int src, const lapi::PktHdr& h) {
+void RdmaNic::handle_read_req(int src, const PktHdr& h) {
   // Served entirely by the target adapter: fetch the pre-registered region
   // descriptor and stream it back. The target host never runs.
   node_.sim.after(node_.cfg.rdma_nic_msg_ns, sim::sched_node_key(node_.node),
@@ -204,7 +209,7 @@ void RdmaNic::handle_read_req(int src, const lapi::PktHdr& h) {
     assert(it != regions_.end() && "RDMA read of an unregistered region");
     const Region& region = it->second;
     const std::size_t n = len < region.len ? static_cast<std::size_t>(len) : region.len;
-    lapi::ReliableLink::Message m;
+    MessageLink::Message m;
     m.meta.kind = static_cast<std::uint8_t>(RdmaKind::kReadResp);
     m.meta.msg_id = next_msg_id_++;
     m.meta.origin = static_cast<std::uint32_t>(hal_.node());
@@ -224,7 +229,7 @@ void RdmaNic::send_coll(int dst_task, std::uint32_t ctx, std::uint32_t seq, std:
   w.phase = phase;
   std::vector<std::byte> uhdr(sizeof(CollWire));
   std::memcpy(uhdr.data(), &w, sizeof(CollWire));
-  lapi::ReliableLink::Message m;
+  MessageLink::Message m;
   m.meta.kind = static_cast<std::uint8_t>(RdmaKind::kColl);
   m.meta.msg_id = next_msg_id_++;
   m.meta.origin = static_cast<std::uint32_t>(hal_.node());
@@ -335,34 +340,10 @@ void RdmaNic::coll_progress(std::uint64_t key) {
   if (done) done();
 }
 
-std::int64_t RdmaNic::retransmits() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& [peer, l] : links_) total += l->retransmits();
-  return total;
-}
-
-std::int64_t RdmaNic::acks_sent() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& [peer, l] : links_) total += l->acks_sent();
-  return total;
-}
-
-std::int64_t RdmaNic::duplicate_deliveries() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& [peer, l] : links_) total += l->duplicates();
-  return total;
-}
-
-std::int64_t RdmaNic::reacks_coalesced() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& [peer, l] : links_) total += l->reacks_coalesced();
-  return total;
-}
-
-std::int64_t RdmaNic::link_packets_sent() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& [peer, l] : links_) total += l->packets_sent();
-  return total;
+ReliableLink::Counters RdmaNic::link_counters() const noexcept {
+  ReliableLink::Counters sum;
+  for (const auto& [peer, l] : links_) sum += l->counters();
+  return sum;
 }
 
 }  // namespace sp::hal

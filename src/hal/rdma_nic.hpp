@@ -7,9 +7,9 @@
 // processor. Everything here executes in *NIC context*: sends go out via
 // Hal::send_packet_nic (no host handshake), inbound frames arrive through the
 // HAL's NIC-protocol bypass (no per-packet host charge, no interrupts), and
-// the reliability engine is the same go-back-N ReliableLink the LAPI
-// transport uses, parameterized with a Profile that drops every host CPU
-// charge. Host time is charged only by the channel above (doorbells and
+// the reliability engine is the same go-back-N link (hal/reliable_link.hpp)
+// that LAPI and Pipes use, parameterized with a Profile that drops every host
+// CPU charge. Host time is charged only by the channel above (doorbells and
 // completion-queue reaps).
 #pragma once
 
@@ -21,14 +21,13 @@
 #include <vector>
 
 #include "hal/hal.hpp"
-#include "lapi/reliable_link.hpp"
-#include "lapi/wire.hpp"
+#include "hal/reliable_link.hpp"
 #include "sim/node_runtime.hpp"
 
 namespace sp::hal {
 
 /// Wire kinds carried in PktHdr::kind on kProtoRdma frames. Values start
-/// well above lapi::Kind so a misrouted frame asserts instead of aliasing.
+/// well above LAPI's kinds so a misrouted frame asserts instead of aliasing.
 enum class RdmaKind : std::uint8_t {
   kWrite = 32,     ///< RDMA write with immediate (imm = channel envelope).
   kReadReq = 33,   ///< RDMA read request (single packet; token + length).
@@ -80,13 +79,13 @@ class RdmaNic {
 
   /// Expose `len` bytes at `data` for remote RDMA reads; the returned token
   /// travels in the channel's RTS. Valid until deregister_region.
-  [[nodiscard]] lapi::Token register_region(const std::byte* data, std::size_t len);
-  void deregister_region(lapi::Token token);
+  [[nodiscard]] Token register_region(const std::byte* data, std::size_t len);
+  void deregister_region(Token token);
 
   /// RDMA read: pull `len` bytes of peer `src`'s region `token` straight
   /// into `local` (scatter at offset, zero host copies). `on_done` fires in
   /// NIC/event context when the last byte lands.
-  void post_read(int src, lapi::Token token, std::byte* local, std::size_t len,
+  void post_read(int src, Token token, std::byte* local, std::size_t len,
                  std::function<void()> on_done);
 
   /// Start one offloaded collective. All members must call with the same
@@ -98,14 +97,8 @@ class RdmaNic {
   [[nodiscard]] std::int64_t writes() const noexcept { return writes_; }
   [[nodiscard]] std::int64_t reads() const noexcept { return reads_; }
   [[nodiscard]] std::int64_t nic_colls() const noexcept { return nic_colls_; }
-  [[nodiscard]] std::int64_t retransmits() const noexcept;
-  [[nodiscard]] std::int64_t acks_sent() const noexcept;
-  [[nodiscard]] std::int64_t duplicate_deliveries() const noexcept;
-  [[nodiscard]] std::int64_t reacks_coalesced() const noexcept;
-  [[nodiscard]] std::int64_t link_packets_sent() const noexcept;
-
-  /// Test hook (mirrors Lapi::link_for_test).
-  [[nodiscard]] lapi::ReliableLink& link_for_test(int peer) { return link(peer); }
+  /// Reliability counters summed over this adapter's links (one per peer).
+  [[nodiscard]] ReliableLink::Counters link_counters() const noexcept;
 
  private:
   struct Reassembly {
@@ -142,11 +135,11 @@ class RdmaNic {
     std::map<std::uint32_t, std::vector<std::byte>> stash;
   };
 
-  lapi::ReliableLink& link(int peer);
+  MessageLink& link(int peer);
   void on_hal_packet(int src, std::span<const std::byte> bytes);
   void dispatch_message(int src, Reassembly&& m);
   void dispatch_write_in_order(int src, Reassembly&& m);
-  void handle_read_req(int src, const lapi::PktHdr& h);
+  void handle_read_req(int src, const PktHdr& h);
   void send_coll(int dst_task, std::uint32_t ctx, std::uint32_t seq, std::uint8_t phase,
                  std::uint16_t from_vrank, const std::byte* data, std::size_t len);
   void handle_coll(std::span<const std::byte> uhdr, std::vector<std::byte>&& data);
@@ -156,17 +149,17 @@ class RdmaNic {
   Hal& hal_;
   WriteHandler write_handler_;
 
-  std::map<int, std::unique_ptr<lapi::ReliableLink>> links_;
+  std::map<int, std::unique_ptr<MessageLink>> links_;
   std::map<std::pair<int, std::uint64_t>, Reassembly> reassembly_;  ///< (src, msg_id).
   std::map<std::uint32_t, PendingRead> pending_reads_;
-  std::map<lapi::Token, Region> regions_;
+  std::map<Token, Region> regions_;
   std::map<std::uint64_t, CollState> colls_;  ///< (ctx << 32 | seq).
   std::map<int, std::uint64_t> write_seq_out_;  ///< Per-destination post order.
   std::map<int, WriteOrder> write_order_in_;
 
   std::uint64_t next_msg_id_ = 1;
   std::uint32_t next_read_id_ = 1;
-  lapi::Token next_region_token_ = 1;
+  Token next_region_token_ = 1;
 
   std::int64_t writes_ = 0;
   std::int64_t reads_ = 0;

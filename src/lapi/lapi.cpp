@@ -2,18 +2,10 @@
 
 #include <bit>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
 namespace sp::lapi {
-
-namespace {
-[[nodiscard]] sim::TimeNs copy_cost(const sim::MachineConfig& cfg, std::size_t bytes) {
-  return cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
-}
-}  // namespace
 
 Lapi::Lapi(sim::NodeRuntime& node, hal::Hal& hal, LapiGroup& group, int task_id)
     : node_(node), hal_(hal), group_(group), task_id_(task_id),
@@ -48,7 +40,7 @@ Lapi::Lapi(sim::NodeRuntime& node, hal::Hal& hal, LapiGroup& group, int task_id)
             off += len;
             bytes += len;
           }
-          node_.cpu.charge(node_.sim, copy_cost(node_.cfg, bytes));  // the scatter
+          node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, bytes));  // the scatter
         };
         return res;
       });
@@ -73,7 +65,7 @@ Lapi::Lapi(sim::NodeRuntime& node, hal::Hal& hal, LapiGroup& group, int task_id)
             off += it->second.lens[k];
             bytes += it->second.lens[k];
           }
-          node_.cpu.charge(node_.sim, copy_cost(node_.cfg, bytes));
+          node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, bytes));
           bump_local(it->second.org);
           pending_getv_.erase(it);
         };
@@ -81,11 +73,18 @@ Lapi::Lapi(sim::NodeRuntime& node, hal::Hal& hal, LapiGroup& group, int task_id)
       });
 }
 
-ReliableLink& Lapi::link(int peer) {
+hal::ReliableLink::Profile Lapi::link_profile(const sim::MachineConfig& cfg) {
+  return {.proto = hal::kProtoLapi,
+          .header_bytes = cfg.lapi_header_bytes,
+          .nic_context = false,
+          .retransmit_ev = sim::Ev::kLapiRetransmit,
+          .dup_ev = sim::Ev::kLapiDupRecv,
+          .ack_ev = sim::Ev::kLapiAck};
+}
+
+hal::MessageLink& Lapi::link(int peer) {
   auto& l = links_[static_cast<std::size_t>(peer)];
-  if (!l) {
-    l = std::make_unique<ReliableLink>(node_, hal_, peer);
-  }
+  if (!l) l = std::make_unique<hal::MessageLink>(node_, hal_, peer, link_profile(node_.cfg));
   return *l;
 }
 
@@ -116,7 +115,7 @@ void Lapi::amsend(int tgt, int handler_id, const void* uhdr, std::size_t uhdr_le
   assert(handler_id >= 0 && "unregistered header handler");
   maybe_app_charge(node_.cfg.lapi_call_overhead_ns);
 
-  ReliableLink::Message m;
+  hal::MessageLink::Message m;
   m.meta.kind = static_cast<std::uint8_t>(Kind::kAm);
   m.meta.msg_id = next_msg_id_++;
   m.meta.origin = static_cast<std::uint32_t>(task_id_);
@@ -142,7 +141,7 @@ void Lapi::put(int tgt, Token tgt_addr, const void* src, std::size_t len, Token 
   check_not_in_header_handler("LAPI_Put");
   maybe_app_charge(node_.cfg.lapi_call_overhead_ns);
 
-  ReliableLink::Message m;
+  hal::MessageLink::Message m;
   m.meta.kind = static_cast<std::uint8_t>(Kind::kPut);
   m.meta.msg_id = next_msg_id_++;
   m.meta.origin = static_cast<std::uint32_t>(task_id_);
@@ -218,9 +217,9 @@ void Lapi::putv(int tgt, int n, const Token* tgt_addrs, const void* const* srcs,
     std::memcpy(packed.data() + off, srcs[k], lens[k]);
     off += lens[k];
   }
-  maybe_app_charge(copy_cost(node_.cfg, total));  // the gather
+  maybe_app_charge(sim::copy_cost(node_.cfg, total));  // the gather
 
-  ReliableLink::Message m;
+  hal::MessageLink::Message m;
   m.meta.kind = static_cast<std::uint8_t>(Kind::kAm);
   m.meta.msg_id = next_msg_id_++;
   m.meta.origin = static_cast<std::uint32_t>(task_id_);
@@ -278,10 +277,10 @@ void Lapi::handle_getv_request(const PktHdr& h, const std::byte* body) {
     std::memcpy(packed.data() + off, reinterpret_cast<const std::byte*>(addr), len);
     off += len;
   }
-  node_.cpu.charge(node_.sim, copy_cost(node_.cfg, total));
+  node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, total));
 
   // Reply as an internal active message to the origin's scatter handler.
-  ReliableLink::Message m;
+  hal::MessageLink::Message m;
   m.meta.kind = static_cast<std::uint8_t>(Kind::kAm);
   m.meta.msg_id = next_msg_id_++;
   m.meta.origin = static_cast<std::uint32_t>(task_id_);
@@ -295,7 +294,7 @@ void Lapi::handle_getv_request(const PktHdr& h, const std::byte* body) {
 
 void Lapi::send_internal(int tgt, PktHdr meta, std::vector<std::byte> owned_data) {
   meta.msg_id = next_msg_id_++;
-  ReliableLink::Message m;
+  hal::MessageLink::Message m;
   m.meta = meta;
   m.owned = std::move(owned_data);
   link(tgt).submit(std::move(m));
@@ -406,42 +405,10 @@ void Lapi::senv_interrupt(bool on) {
   hal_.set_interrupt_mode(on);
 }
 
-std::int64_t Lapi::retransmits() const {
-  std::int64_t sum = 0;
+hal::ReliableLink::Counters Lapi::link_counters() const {
+  hal::ReliableLink::Counters sum;
   for (const auto& l : links_) {
-    if (l) sum += l->retransmits();
-  }
-  return sum;
-}
-
-std::int64_t Lapi::duplicate_deliveries() const {
-  std::int64_t sum = 0;
-  for (const auto& l : links_) {
-    if (l) sum += l->duplicates();
-  }
-  return sum;
-}
-
-std::int64_t Lapi::link_packets_sent() const {
-  std::int64_t sum = 0;
-  for (const auto& l : links_) {
-    if (l) sum += l->packets_sent();
-  }
-  return sum;
-}
-
-std::int64_t Lapi::acks_sent() const {
-  std::int64_t sum = 0;
-  for (const auto& l : links_) {
-    if (l) sum += l->acks_sent();
-  }
-  return sum;
-}
-
-std::int64_t Lapi::reacks_coalesced() const {
-  std::int64_t sum = 0;
-  for (const auto& l : links_) {
-    if (l) sum += l->reacks_coalesced();
+    if (l) sum += l->counters();
   }
   return sum;
 }
@@ -450,18 +417,19 @@ std::int64_t Lapi::reacks_coalesced() const {
 // Target-side dispatch
 // --------------------------------------------------------------------------
 
-void Lapi::on_hal_packet(int src, std::span<const std::byte> bytes) {
+void Lapi::on_hal_packet(int src, std::span<const std::byte> frame) {
+  const hal::LinkHdr lh = hal::parse_link_hdr(frame);
+  if (lh.ack != 0) {
+    link(src).on_ack(lh.seq);
+    return;
+  }
+  if (!link(src).accept(lh.seq)) {
+    return;  // duplicate (retransmission already delivered)
+  }
+  const std::span<const std::byte> bytes = frame.subspan(sizeof(hal::LinkHdr));
   assert(bytes.size() >= sizeof(PktHdr));
   const PktHdr h = parse_hdr(bytes);
   const auto kind = static_cast<Kind>(h.kind);
-
-  if (kind == Kind::kAck) {
-    link(src).on_ack(h.pkt_seq);
-    return;
-  }
-  if (!link(src).accept(h.pkt_seq)) {
-    return;  // duplicate (retransmission already delivered)
-  }
   node_.cpu.charge(node_.sim, node_.cfg.lapi_dispatch_packet_ns);
 
   switch (kind) {
@@ -489,8 +457,6 @@ void Lapi::on_hal_packet(int src, std::span<const std::byte> bytes) {
     case Kind::kCmplNotify:
       bump_local_token(h.handler_or_addr);
       break;
-    case Kind::kAck:
-      break;  // handled above
   }
 }
 
@@ -576,7 +542,7 @@ void Lapi::on_data_packet(const PktHdr& h, std::span<const std::byte> payload) {
       r.stash.clear();
     } else {
       // Arrived before the first packet: stash until the header handler runs.
-      node_.cpu.charge(node_.sim, copy_cost(node_.cfg, h.data_len));
+      node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, h.data_len));
       r.stash.emplace_back(h.offset,
                            std::vector<std::byte>(body, body + h.data_len));
       return;
@@ -594,7 +560,7 @@ void Lapi::place_data(Reassembly& r, std::uint32_t offset, const std::byte* data
   if (len > 0) {
     // The single LAPI target-side copy: HAL receive buffer -> user buffer,
     // directly at the right offset (out-of-order packets need no reordering).
-    node_.cpu.charge(node_.sim, copy_cost(node_.cfg, len));
+    node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, len));
     if (r.buffer != nullptr) {
       std::memcpy(r.buffer + offset, data, len);
     }

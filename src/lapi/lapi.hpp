@@ -32,8 +32,8 @@
 #include <vector>
 
 #include "hal/hal.hpp"
+#include "hal/reliable_link.hpp"
 #include "lapi/counter.hpp"
-#include "lapi/reliable_link.hpp"
 #include "lapi/wire.hpp"
 #include "sim/node_runtime.hpp"
 
@@ -176,6 +176,8 @@ class Lapi {
   [[nodiscard]] int task_id() const noexcept { return task_id_; }
   [[nodiscard]] sim::NodeRuntime& runtime() noexcept { return node_; }
   [[nodiscard]] hal::Hal& hal() noexcept { return hal_; }
+  /// The reliable-link personality of every LAPI link.
+  [[nodiscard]] static hal::ReliableLink::Profile link_profile(const sim::MachineConfig& cfg);
 
   // --- statistics ---
   [[nodiscard]] std::int64_t messages_sent() const noexcept { return messages_sent_; }
@@ -186,20 +188,8 @@ class Lapi {
   [[nodiscard]] std::int64_t completion_inline_runs() const noexcept {
     return completion_inline_runs_;
   }
-  [[nodiscard]] std::int64_t retransmits() const;
-  /// Duplicate packet deliveries filtered by this task's links (fabric dups
-  /// and go-back-N re-deliveries both land here).
-  [[nodiscard]] std::int64_t duplicate_deliveries() const;
-  /// Reliability data packets this task's links put on the wire (first sends;
-  /// retransmits are counted separately).
-  [[nodiscard]] std::int64_t link_packets_sent() const;
-  /// Transport acks this task's links put on the wire.
-  [[nodiscard]] std::int64_t acks_sent() const;
-  /// Duplicate deliveries folded into delayed ack flushes (re-ack coalescing).
-  [[nodiscard]] std::int64_t reacks_coalesced() const;
-
-  /// Test hook: the reliable link toward `peer` (sequence-wrap tests).
-  [[nodiscard]] ReliableLink& link_for_test(int peer) { return link(peer); }
+  /// Reliability counters summed over this task's links (one per peer).
+  [[nodiscard]] hal::ReliableLink::Counters link_counters() const;
 
   /// Convert a local pointer to a Token (for address_init).
   template <typename T>
@@ -239,7 +229,7 @@ class Lapi {
     std::vector<std::pair<std::uint32_t, std::vector<std::byte>>> stash;
   };
 
-  ReliableLink& link(int peer);
+  hal::MessageLink& link(int peer);
   void on_hal_packet(int src, std::span<const std::byte> bytes);
   void on_data_packet(const PktHdr& h, std::span<const std::byte> payload);
   void handle_get_request(const PktHdr& h);
@@ -259,7 +249,7 @@ class Lapi {
   int task_id_;
 
   std::vector<HeaderHandler> handlers_;
-  std::vector<std::unique_ptr<ReliableLink>> links_;
+  std::vector<std::unique_ptr<hal::MessageLink>> links_;
   std::map<std::pair<std::uint32_t, std::uint64_t>, Reassembly> reass_;
   std::uint64_t next_msg_id_ = 1;
 

@@ -1,17 +1,22 @@
-// LAPI wire format: the per-packet header and message kinds.
+// LAPI wire format: the message kinds carried in PktHdr::kind.
 //
-// Every LAPI packet carries a full PktHdr (serialized verbatim) so any packet
-// of a message can create reassembly state when packets arrive out of order
-// across the four switch routes. Time is charged for the *modeled* header
-// size (MachineConfig::lapi_header_bytes), not the struct size.
+// LAPI packets use the reliable link's message framing (hal/reliable_link.hpp):
+// a LinkHdr, then a full PktHdr on every packet so any packet of a message can
+// create reassembly state when packets arrive out of order across the four
+// switch routes. Time is charged for the *modeled* header size
+// (MachineConfig::lapi_header_bytes), not the struct size.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <span>
-#include <vector>
+
+#include "hal/reliable_link.hpp"
 
 namespace sp::lapi {
+
+using hal::kFlagFirst;
+using hal::parse_hdr;
+using hal::PktHdr;
+using hal::Token;
 
 enum class Kind : std::uint8_t {
   kAm = 1,        ///< LAPI_Amsend data (first packet carries the user header)
@@ -21,64 +26,7 @@ enum class Kind : std::uint8_t {
   kRmwReq = 5,    ///< LAPI_Rmw request (single packet)
   kRmwRep = 6,    ///< LAPI_Rmw reply (single packet)
   kCmplNotify = 7,///< Internal: bump the origin-side completion counter
-  kAck = 8,       ///< Transport acknowledgement (unsequenced)
   kGetvReq = 9,   ///< LAPI_Getv request (single packet carrying a block table)
 };
-
-enum Flags : std::uint8_t {
-  kFlagFirst = 1,  ///< Carries the user header (offset 0 packet of an Am)
-};
-
-/// Counter/address tokens are raw pointers in the single simulator address
-/// space, exchanged up-front via LAPI_Address_init exactly as on the real
-/// machine (where they are virtual addresses in the peer task).
-using Token = std::uint64_t;
-
-/// Reconstruct a full 64-bit sequence number from its 32-bit wire form,
-/// choosing the value congruent to `wire` (mod 2^32) nearest to `ref`
-/// (RFC 1982-style serial-number arithmetic). The link window is tiny
-/// compared to the 2^31 ambiguity radius, so reliability bookkeeping keeps
-/// working when the 32-bit wire counter wraps.
-[[nodiscard]] constexpr std::uint64_t unwrap_seq(std::uint64_t ref, std::uint32_t wire) noexcept {
-  constexpr std::uint64_t kSpan = 1ULL << 32;
-  constexpr std::uint64_t kHalf = 1ULL << 31;
-  std::uint64_t candidate = (ref & ~(kSpan - 1)) | wire;
-  if (candidate + kHalf < ref) return candidate + kSpan;
-  if (candidate > ref + kHalf && candidate >= kSpan) return candidate - kSpan;
-  return candidate;
-}
-
-struct PktHdr {
-  std::uint64_t msg_id = 0;    ///< Per-origin-task unique message id.
-  std::uint32_t pkt_seq = 0;   ///< Per (origin->target) reliability sequence.
-  std::uint32_t offset = 0;    ///< Byte offset of this packet's data.
-  std::uint32_t data_len = 0;  ///< Data bytes in this packet.
-  std::uint32_t total_len = 0; ///< Total message data length.
-  std::uint8_t kind = 0;
-  std::uint8_t flags = 0;   ///< Per-packet flags; rewritten by the link layer.
-  std::uint8_t op = 0;      ///< Kind-specific opcode (e.g. the Rmw operation).
-  std::uint8_t pad_ = 0;
-  std::uint16_t uhdr_len = 0;
-  std::uint32_t origin = 0;    ///< Origin task id.
-  Token handler_or_addr = 0;   ///< Am: header-handler id. Put/GetRep: target address.
-  Token tgt_cntr = 0;          ///< Target counter (target address space).
-  Token org_cntr = 0;          ///< Origin counter token (used by replies).
-  Token cmpl_cntr = 0;         ///< Completion counter (origin address space).
-  Token aux = 0;               ///< GetReq: origin buffer. Rmw: operand/out ptr.
-  Token aux2 = 0;              ///< Rmw: extra operand.
-};
-
-inline constexpr std::size_t kPktHdrBytes = sizeof(PktHdr);
-
-inline void append_hdr(std::vector<std::byte>& out, const PktHdr& h) {
-  const auto* p = reinterpret_cast<const std::byte*>(&h);
-  out.insert(out.end(), p, p + sizeof(PktHdr));
-}
-
-[[nodiscard]] inline PktHdr parse_hdr(std::span<const std::byte> in) {
-  PktHdr h;
-  std::memcpy(&h, in.data(), sizeof(PktHdr));
-  return h;
-}
 
 }  // namespace sp::lapi

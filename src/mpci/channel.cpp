@@ -1,7 +1,6 @@
 #include "mpci/channel.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -72,7 +71,7 @@ void Channel::erase_ea(EaEntry& e) {
 
 void Channel::deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context) {
   const std::size_t n = std::min<std::size_t>(e.env.len, req.cap);
-  const sim::TimeNs cost = copy_cost(n);
+  const sim::TimeNs cost = sim::copy_cost(node_.cfg, n);
   if (app_context) {
     node_.app_charge(cost);
   } else {
@@ -107,12 +106,6 @@ void Channel::send_recv_done(int src_task, std::uint32_t sreq) {
   d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
   d.sreq = sreq;
   send_control_env(src_task, d);
-}
-
-sim::TimeNs Channel::copy_cost(std::size_t bytes) const {
-  return node_.cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(
-             std::llround(node_.cfg.copy_ns_per_byte * static_cast<double>(bytes)));
 }
 
 }  // namespace sp::mpci

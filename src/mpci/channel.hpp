@@ -189,9 +189,6 @@ class Channel {
   /// Tell the sender of `sreq` that its message was fully received.
   void send_recv_done(int src_task, std::uint32_t sreq);
 
-  /// Modeled CPU time of copying `bytes` (one memcpy call).
-  [[nodiscard]] sim::TimeNs copy_cost(std::size_t bytes) const;
-
   /// Charge the cost of scanning `entries` queue entries plus locking.
   void charge_match_event(int entries) {
     note_match(entries);

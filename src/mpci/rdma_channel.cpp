@@ -264,7 +264,7 @@ void RdmaChannel::handle_eager(int src, const Envelope& env, std::vector<std::by
 void RdmaChannel::receive_direct(int src, const Envelope& env, RecvReq& r,
                                  const std::vector<std::byte>& data) {
   const std::size_t n = std::min<std::size_t>(env.len, r.cap);
-  node_.cpu.charge(node_.sim, copy_cost(n));
+  node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, n));
   if (n > 0) std::memcpy(r.buf, data.data(), n);
   publish_recv_complete(r, env);
   ea_note_retired(src, env);

@@ -131,6 +131,7 @@ void Machine::run_threads(const std::function<void(int)>& body) {
 
 Machine::Stats Machine::stats() const {
   Stats s;
+  hal::ReliableLink::Counters rdma, lapi, pipes;
   for (const auto& n : nodes_) {
     s.packets_sent += n->hal->packets_sent();
     s.packets_received += n->hal->packets_received();
@@ -144,26 +145,29 @@ Machine::Stats Machine::stats() const {
       s.rdma_writes += n->rdma->writes();
       s.rdma_reads += n->rdma->reads();
       s.nic_collectives += n->rdma->nic_colls();
-      s.rdma_retransmits += n->rdma->retransmits();
-      s.rdma_acks += n->rdma->acks_sent();
-      s.rdma_duplicate_deliveries += n->rdma->duplicate_deliveries();
-      s.rdma_reacks_coalesced += n->rdma->reacks_coalesced();
+      rdma += n->rdma->link_counters();
     }
     s.lapi_messages += n->lapi->messages_sent();
-    s.lapi_retransmits += n->lapi->retransmits();
-    s.lapi_duplicate_deliveries += n->lapi->duplicate_deliveries();
-    s.lapi_acks += n->lapi->acks_sent();
-    s.lapi_reacks_coalesced += n->lapi->reacks_coalesced();
-    s.pipes_retransmits += n->pipes->retransmits();
-    s.pipes_duplicate_deliveries += n->pipes->duplicate_deliveries();
-    s.pipes_acks += n->pipes->acks_sent();
-    s.pipes_reacks_coalesced += n->pipes->reacks_coalesced();
+    lapi += n->lapi->link_counters();
+    pipes += n->pipes->link_counters();
     s.completion_thread_dispatches += n->lapi->completion_thread_dispatches();
     s.completion_inline_runs += n->lapi->completion_inline_runs();
   }
   for (const auto& n : nodes_) {
     s.hal_staged_bytes += n->hal->staged_bytes();
   }
+  s.rdma_retransmits = rdma.retransmits;
+  s.rdma_acks = rdma.acks;
+  s.rdma_duplicate_deliveries = rdma.duplicates;
+  s.rdma_reacks_coalesced = rdma.reacks_coalesced;
+  s.lapi_retransmits = lapi.retransmits;
+  s.lapi_duplicate_deliveries = lapi.duplicates;
+  s.lapi_acks = lapi.acks;
+  s.lapi_reacks_coalesced = lapi.reacks_coalesced;
+  s.pipes_retransmits = pipes.retransmits;
+  s.pipes_duplicate_deliveries = pipes.duplicates;
+  s.pipes_acks = pipes.acks;
+  s.pipes_reacks_coalesced = pipes.reacks_coalesced;
   const net::CombiningEngine& ce = fabric_->combining();
   s.innet_collectives = ce.ops();
   s.innet_combines = ce.combines();

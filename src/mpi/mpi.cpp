@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 
@@ -13,11 +12,6 @@
 namespace sp::mpi {
 
 namespace {
-[[nodiscard]] sim::TimeNs copy_cost(const sim::MachineConfig& cfg, std::size_t bytes) {
-  return cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
-}
-
 /// RAII scope turning one MPI public call into a kMpiEnter/kMpiExit telemetry
 /// span plus a Hist::kMpiCallNs sample. With telemetry disabled each end of
 /// the scope costs exactly one null test; nested calls (collectives issuing
@@ -172,7 +166,7 @@ void Mpi::start_bsend(mpci::SendReq& req, const void* buf, std::size_t bytes, in
     throw mpci::FatalMpiError("MPI_Bsend: attach buffer exhausted (MPI_ERR_BUFFER)");
   }
   // The buffered-mode copy into the attach buffer (Fig. 8).
-  node_.app_charge(copy_cost(node_.cfg, bytes));
+  node_.app_charge(sim::copy_cost(node_.cfg, bytes));
   if (bytes > 0) std::memcpy(slot_buf, buf, bytes);
   req.bsend_slot = slot;
   req.dst = c.task_of(dst);
@@ -537,7 +531,7 @@ void Mpi::send(const void* buf, std::size_t count, const DerivedDatatype& t, int
                const Comm& c) {
   const std::size_t packed = t.packed_bytes() * count;
   std::vector<std::byte> stage(packed);
-  node_.app_charge(copy_cost(node_.cfg, packed));  // pack
+  node_.app_charge(sim::copy_cost(node_.cfg, packed));  // pack
   t.pack(buf, stage.data(), count);
   send(stage.data(), packed, Datatype::kByte, dst, tag, c);
 }
@@ -547,7 +541,7 @@ void Mpi::recv(void* buf, std::size_t count, const DerivedDatatype& t, int src, 
   const std::size_t packed = t.packed_bytes() * count;
   std::vector<std::byte> stage(packed);
   recv(stage.data(), packed, Datatype::kByte, src, tag, c, st);
-  node_.app_charge(copy_cost(node_.cfg, packed));  // unpack
+  node_.app_charge(sim::copy_cost(node_.cfg, packed));  // unpack
   t.unpack(stage.data(), buf, count);
 }
 
@@ -555,7 +549,7 @@ Request Mpi::isend(const void* buf, std::size_t count, const DerivedDatatype& t,
                    int tag, const Comm& c) {
   const std::size_t packed = t.packed_bytes() * count;
   auto stage = std::make_unique<std::vector<std::byte>>(packed);
-  node_.app_charge(copy_cost(node_.cfg, packed));
+  node_.app_charge(sim::copy_cost(node_.cfg, packed));
   t.pack(buf, stage->data(), count);
   Request r = isend(stage->data(), packed, Datatype::kByte, dst, tag, c);
   r.staging_ = std::move(stage);
@@ -570,7 +564,7 @@ Request Mpi::irecv(void* buf, std::size_t count, const DerivedDatatype& t, int s
   auto* stage_ptr = stage.get();
   r.staging_ = std::move(stage);
   r.on_complete_ = [this, stage_ptr, buf, count, t] {
-    node_.app_charge(copy_cost(node_.cfg, t.packed_bytes() * count));
+    node_.app_charge(sim::copy_cost(node_.cfg, t.packed_bytes() * count));
     t.unpack(stage_ptr->data(), buf, count);
   };
   return r;
@@ -812,7 +806,7 @@ void Mpi::bcast(void* buf, std::size_t count, const DerivedDatatype& t, int root
   // Pack at the root, broadcast the packed bytes (the nested call runs the
   // algorithm engine and owns the tag), unpack into the user layout.
   const std::size_t bytes = t.packed_bytes() * count;
-  node_.app_charge(copy_cost(node_.cfg, bytes));
+  node_.app_charge(sim::copy_cost(node_.cfg, bytes));
   std::vector<std::byte> staging(bytes);
   if (c.rank() == root) t.pack(buf, staging.data(), count);
   bcast(staging.data(), bytes, Datatype::kByte, root, c);
@@ -857,7 +851,7 @@ void Mpi::allreduce(const void* sendb, void* recvb, std::size_t count, Datatype 
       CollScope innet_span(node_, sim::CollAlgo::kAllreduceInNetwork, bytes);
       if (bytes > 0 && bytes <= node_.cfg.in_network_coll_max_bytes &&
           combining_ != nullptr) {
-        node_.app_charge(copy_cost(node_.cfg, bytes));
+        node_.app_charge(sim::copy_cost(node_.cfg, bytes));
         std::memcpy(recvb, sendb, bytes);
       }
       auto combine = [op, d](std::byte* into, const std::byte* from, std::size_t len) {
@@ -880,7 +874,7 @@ void Mpi::allreduce(const void* sendb, void* recvb, std::size_t count, Datatype 
     if (nic_capable) {
       CollScope nic_span(node_, sim::CollAlgo::kAllreduceNicOffload, bytes);
       if (bytes > 0) {
-        node_.app_charge(copy_cost(node_.cfg, bytes));
+        node_.app_charge(sim::copy_cost(node_.cfg, bytes));
         std::memcpy(recvb, sendb, bytes);
       }
       auto combine = [op, d](std::byte* into, const std::byte* from, std::size_t len) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -342,5 +343,12 @@ struct MachineConfig {
     return cfg;
   }
 };
+
+/// Modeled cost of one host memcpy of `bytes`: the per-call overhead plus the
+/// per-byte rate. Every copy the paper counts is charged through here.
+[[nodiscard]] inline TimeNs copy_cost(const MachineConfig& cfg, std::size_t bytes) {
+  return cfg.copy_call_ns +
+         static_cast<TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
+}
 
 }  // namespace sp::sim

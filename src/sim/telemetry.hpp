@@ -48,9 +48,9 @@ enum class Ev : std::uint16_t {
   // pipes (native byte-stream transport)
   kPipeSend,         ///< a0 = dst, a1 = payload bytes
   kPipeDeliver,      ///< a0 = src, a1 = payload bytes
-  kPipeRetransmit,   ///< a0 = dst, a1 = stream offset
-  kPipeAck,          ///< a0 = peer, a1 = cumulative offset
-  kPipeDupRecv,      ///< a0 = src, a1 = stream offset
+  kPipeRetransmit,   ///< a0 = peer, a1 = packet seq
+  kPipeAck,          ///< a0 = peer, a1 = cumulative seq
+  kPipeDupRecv,      ///< a0 = peer, a1 = packet seq
   // lapi (reliable active-message transport)
   kAmSend,           ///< a0 = tgt, a1 = udata bytes
   kHeaderHandler,    ///< a0 = origin, a1 = message bytes

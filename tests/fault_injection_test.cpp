@@ -5,26 +5,31 @@
 // full MPI workloads — ping-pong, collectives, the NAS mini-kernels — to
 // completion under 1–5% loss on every backend, verify the delivered data,
 // bound the retransmit count against the injected loss, and pin the lossy
-// event timeline to be bit-identical for a fixed seed. A LinkRig section
-// unit-tests the transport fixes directly: duplicate re-ack coalescing, the
-// owed-ack retry after a HAL-full failure, deadline-based retransmit timing
-// and 32-bit wire sequence wrap.
+// event timeline to be bit-identical for a fixed seed. A link-rig section
+// unit-tests the reliability fixes of the shared go-back-N link directly,
+// once over LAPI's profile and once over a Pipes stream: duplicate re-ack
+// coalescing, the owed-ack retry after a HAL-full failure, deadline-based
+// retransmit timing and 32-bit wire sequence wrap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "lapi/reliable_link.hpp"
-#include "lapi/wire.hpp"
+#include "hal/reliable_link.hpp"
+#include "lapi/lapi.hpp"
 #include "mpi/coll.hpp"
 #include "mpi/machine.hpp"
 #include "nas/kernels.hpp"
+#include "pipes/pipes.hpp"
 #include "test_harness.hpp"
 
 namespace {
@@ -349,59 +354,179 @@ TEST(FaultDeterminism, DifferentSeedDifferentLossPattern) {
 
 // --- transport unit tests (the reliability fixes) ---------------------------
 
-namespace sp::lapi {
+namespace sp::hal {
 namespace {
 
-// LinkRig (the two-node ReliableLink fixture) now lives in test_harness.hpp.
+/// Two HAL-connected nodes carrying one reliable link pair (node 0 -> node 1)
+/// through real wire traffic. Every data frame arriving at node 1 is logged,
+/// and specific deliveries can be swallowed by wire seq — surgical loss that
+/// random fabric drops can't provide. The transport on top is the subclass's.
+struct LinkRigBase {
+  explicit LinkRigBase(sim::MachineConfig c = {}) : cfg(c) {
+    fabric = std::make_unique<net::SwitchFabric>(sim, cfg, 2);
+    for (int i = 0; i < 2; ++i) {
+      rts.push_back(std::make_unique<sim::NodeRuntime>(sim, cfg, i));
+      hals.push_back(std::make_unique<Hal>(*rts.back(), *fabric));
+    }
+  }
 
-TEST(ReliableLinkFix, DuplicateBurstEarnsOneImmediateReack) {
+  /// Log a frame arriving at node 1; true if it is to be swallowed.
+  bool drop_arrival(std::span<const std::byte> frame) {
+    const LinkHdr lh = parse_link_hdr(frame);
+    if (lh.ack != 0) return false;
+    arrivals.emplace_back(sim.now(), lh.seq);
+    auto it = drop_budget.find(lh.seq);
+    if (it == drop_budget.end() || it->second == 0) return false;
+    --it->second;
+    return true;
+  }
+
+  /// Occupy every HAL send buffer of node 1 with harmless acks toward node 0.
+  void fill_target_send_buffers(ProtoId proto) {
+    std::vector<std::byte> filler(sizeof(LinkHdr));
+    const LinkHdr ack{0, 1};
+    std::memcpy(filler.data(), &ack, sizeof(LinkHdr));
+    while (hals[1]->send_buffers_in_use() < cfg.hal_send_buffers) {
+      ASSERT_TRUE(hals[1]->send_packet(0, proto, filler));
+    }
+  }
+
+  sim::MachineConfig cfg;
+  sim::Simulator sim;
+  std::unique_ptr<net::SwitchFabric> fabric;
+  std::vector<std::unique_ptr<sim::NodeRuntime>> rts;
+  std::vector<std::unique_ptr<Hal>> hals;
+  std::map<std::uint32_t, int> drop_budget;  ///< wire seq -> deliveries to swallow
+  std::vector<std::pair<sim::TimeNs, std::uint32_t>> arrivals;
+  std::uint64_t fresh_bytes = 0;
+};
+
+/// A MessageLink pair with LAPI's profile and a hand-rolled kProtoLapi
+/// dispatch mirroring Lapi::on_hal_packet.
+struct LapiLinkRig : LinkRigBase {
+  static constexpr ProtoId kProto = kProtoLapi;
+
+  LapiLinkRig() {
+    const ReliableLink::Profile prof = lapi::Lapi::link_profile(cfg);
+    origin_link = std::make_unique<MessageLink>(*rts[0], *hals[0], 1, prof);
+    target_link = std::make_unique<MessageLink>(*rts[1], *hals[1], 0, prof);
+    hals[0]->register_protocol(kProto, [this](int, std::span<const std::byte> b) {
+      const LinkHdr lh = parse_link_hdr(b);
+      if (lh.ack != 0) origin_link->on_ack(lh.seq);
+    });
+    hals[1]->register_protocol(kProto, [this](int, std::span<const std::byte> b) {
+      if (drop_arrival(b)) return;
+      const LinkHdr lh = parse_link_hdr(b);
+      if (lh.ack != 0 || !target_link->accept(lh.seq)) return;
+      fresh_bytes += parse_hdr(b.subspan(sizeof(LinkHdr))).data_len;
+    });
+  }
+
+  ReliableLink& origin() { return *origin_link; }
+  ReliableLink& target() { return *target_link; }
+  /// Hand node 1 a data packet with wire seq `seq` directly; true if fresh.
+  bool deliver(std::uint32_t seq) { return target_link->accept(seq); }
+
+  void submit_at(sim::TimeNs t, std::size_t len) {
+    sim.at(t, [this, len] {
+      MessageLink::Message msg;
+      msg.meta.kind = static_cast<std::uint8_t>(lapi::Kind::kPut);
+      msg.owned.assign(len, std::byte{0x5a});
+      origin_link->submit(std::move(msg));
+    });
+  }
+
+  std::unique_ptr<MessageLink> origin_link;
+  std::unique_ptr<MessageLink> target_link;
+};
+
+/// A real two-node Pipes stream; node 1's Pipes upcall is interposed so
+/// arrivals are logged (and swallowed on request) before Pipes sees them.
+struct PipesLinkRig : LinkRigBase {
+  static constexpr ProtoId kProto = kProtoPipes;
+
+  PipesLinkRig() {
+    for (int i = 0; i < 2; ++i) {
+      pipes.push_back(std::make_unique<pipes::Pipes>(*rts[static_cast<std::size_t>(i)],
+                                                     *hals[static_cast<std::size_t>(i)]));
+    }
+    upcall = hals[1]->protocol(kProto);
+    hals[1]->register_protocol(kProto, [this](int src, std::span<const std::byte> b) {
+      if (!drop_arrival(b)) upcall(src, b);
+    });
+    pipes[1]->set_on_data([this](int src) {
+      std::vector<std::byte> sink(pipes[1]->available(src));
+      pipes[1]->consume(src, sink.data(), sink.size());
+      fresh_bytes += sink.size();
+    });
+  }
+
+  ReliableLink& origin() { return pipes[0]->link_for_test(1); }
+  ReliableLink& target() { return pipes[1]->link_for_test(0); }
+  /// Hand node 1's Pipes a 64-byte data packet with wire seq `seq` directly;
+  /// true if fresh.
+  bool deliver(std::uint32_t seq) {
+    std::vector<std::byte> frame(sizeof(LinkHdr) + 64, std::byte{0x5a});
+    const LinkHdr lh{seq, 0};
+    std::memcpy(frame.data(), &lh, sizeof(LinkHdr));
+    const std::int64_t dups = target().counters().duplicates;
+    upcall(0, frame);
+    return target().counters().duplicates == dups;
+  }
+
+  void submit_at(sim::TimeNs t, std::size_t len) {
+    // The middle of a large write is borrowed until staged: keep it alive.
+    const std::byte* data = bodies.emplace_back(len, std::byte{0x5a}).data();
+    sim.at(t, [this, data, len] { pipes[0]->write(1, {}, data, len, nullptr); });
+  }
+
+  std::vector<std::unique_ptr<pipes::Pipes>> pipes;
+  Hal::RecvFn upcall;  ///< Node 1's Pipes upcall.
+  std::deque<std::vector<std::byte>> bodies;
+};
+
+template <class Rig>
+void duplicate_burst_earns_one_immediate_reack() {
   // A go-back-N resend of a full window lands as a burst of duplicates at the
   // target. Each must be rejected, but re-advertising the cumulative position
   // once is enough — per-duplicate acks are the ack storm the coalescing
   // window exists to prevent.
-  LinkRig rig;
-  for (std::uint32_t s = 1; s <= 8; ++s) (void)rig.target->accept(s);
-  const std::int64_t acks_after_fresh = rig.target->acks_sent();
-  for (std::uint32_t s = 1; s <= 8; ++s) EXPECT_FALSE(rig.target->accept(s));
-  EXPECT_EQ(rig.target->duplicates(), 8);
-  EXPECT_EQ(rig.target->acks_sent(), acks_after_fresh + 1)
+  Rig rig;
+  for (std::uint32_t s = 1; s <= 8; ++s) (void)rig.deliver(s);
+  const std::int64_t acks_after_fresh = rig.target().counters().acks;
+  for (std::uint32_t s = 1; s <= 8; ++s) EXPECT_FALSE(rig.deliver(s));
+  EXPECT_EQ(rig.target().counters().duplicates, 8);
+  EXPECT_EQ(rig.target().counters().acks, acks_after_fresh + 1)
       << "a burst of 8 duplicates must trigger exactly one immediate re-ack";
   rig.sim.run();  // the rest of the burst folds into one delayed flush
-  EXPECT_LE(rig.target->acks_sent(), acks_after_fresh + 2);
+  EXPECT_LE(rig.target().counters().acks, acks_after_fresh + 2);
 }
 
-TEST(ReliableLinkFix, OwedReackRetriesAfterHalFull) {
+template <class Rig>
+void owed_reack_retries_after_hal_full() {
   // A duplicate arrives with no fresh packets outstanding and the immediate
   // re-ack hits a full HAL send queue. The old code keyed the flush retry on
   // unacked_count_ (zero here), so the ack was dropped on the floor and the
   // origin spun on its retransmit timer; the pending-ack bit must survive.
-  LinkRig rig;
-  EXPECT_TRUE(rig.target->accept(1));
+  Rig rig;
+  EXPECT_TRUE(rig.deliver(1));
   rig.sim.run();  // delayed flush acks seq 1
-  ASSERT_EQ(rig.target->acks_sent(), 1);
+  ASSERT_EQ(rig.target().counters().acks, 1);
 
-  // Exhaust node 1's HAL send buffers with harmless self-made ack packets.
-  std::vector<std::byte> filler;
-  PktHdr h;
-  h.kind = static_cast<std::uint8_t>(Kind::kAck);
-  h.pkt_seq = 0;
-  append_hdr(filler, h);
-  while (rig.hals[1]->send_buffers_in_use() < rig.cfg.hal_send_buffers) {
-    ASSERT_TRUE(rig.hals[1]->send_packet(0, hal::kProtoLapi, filler));
-  }
-
-  EXPECT_FALSE(rig.target->accept(1));         // duplicate; re-ack owed
-  EXPECT_EQ(rig.target->acks_sent(), 1);       // HAL full: nothing went out yet
-  rig.sim.run();                               // buffers drain, flush retries
-  EXPECT_EQ(rig.target->acks_sent(), 2) << "owed re-ack was lost after a HAL-full failure";
+  rig.fill_target_send_buffers(Rig::kProto);
+  EXPECT_FALSE(rig.deliver(1));                   // duplicate; re-ack owed
+  EXPECT_EQ(rig.target().counters().acks, 1);     // HAL full: nothing went out yet
+  rig.sim.run();                                  // buffers drain, flush retries
+  EXPECT_EQ(rig.target().counters().acks, 2) << "owed re-ack was lost after a HAL-full failure";
 }
 
-TEST(ReliableLinkFix, RetransmitFiresOneTimeoutAfterTheLostSend) {
+template <class Rig>
+void retransmit_fires_one_timeout_after_the_lost_send() {
   // Message A (seq 1) is delivered and acked; message B (seq 2), sent while
   // A's retransmit timer is still armed, is lost. Re-arming a full timeout
   // from the timer's fire time would delay B's resend to nearly 2x the
   // timeout; arming against the oldest unacked send must recover within ~1x.
-  LinkRig rig;
+  Rig rig;
   const sim::TimeNs timeout = rig.cfg.retransmit_timeout_ns;
   const sim::TimeNs sent_b = (timeout * 6) / 10;
   rig.drop_budget[2] = 1;
@@ -409,8 +534,8 @@ TEST(ReliableLinkFix, RetransmitFiresOneTimeoutAfterTheLostSend) {
   rig.submit_at(sent_b, 64);
   rig.sim.run();
 
-  ASSERT_EQ(rig.origin->retransmits(), 1);
-  EXPECT_TRUE(rig.origin->drained());
+  ASSERT_EQ(rig.origin().counters().retransmits, 1);
+  EXPECT_TRUE(rig.origin().drained());
   sim::TimeNs second_arrival = -1;
   int seq2_seen = 0;
   for (const auto& [t, s] : rig.arrivals) {
@@ -423,21 +548,54 @@ TEST(ReliableLinkFix, RetransmitFiresOneTimeoutAfterTheLostSend) {
       << sim::to_us(second_arrival - sent_b) << "us";
 }
 
-TEST(ReliableLinkFix, SequenceNumbersSurviveWireWrap) {
+template <class Rig>
+void sequence_numbers_survive_wire_wrap() {
   // Both cursors start just below 2^32; an 80-packet message crosses the
   // 32-bit wire wrap mid-stream. Every packet must be accepted exactly once
   // and acked, with no retransmits and no duplicates flagged.
-  LinkRig rig;
+  Rig rig;
   const std::uint64_t base = (1ULL << 32) - 40;
-  rig.origin->fast_forward_seq(base);
-  rig.target->fast_forward_seq(base);
+  rig.origin().fast_forward_seq(base);
+  rig.target().fast_forward_seq(base);
   const std::size_t len = 80 * 1024;  // 80 MTU-sized packets
   rig.submit_at(0, len);
   rig.sim.run();
   EXPECT_EQ(rig.fresh_bytes, len);
-  EXPECT_EQ(rig.target->duplicates(), 0);
-  EXPECT_EQ(rig.origin->retransmits(), 0);
-  EXPECT_TRUE(rig.origin->drained());
+  EXPECT_EQ(rig.target().counters().duplicates, 0);
+  EXPECT_EQ(rig.origin().counters().retransmits, 0);
+  EXPECT_TRUE(rig.origin().drained());
+}
+
+TEST(ReliableLinkFix, DuplicateBurstEarnsOneImmediateReack) {
+  duplicate_burst_earns_one_immediate_reack<LapiLinkRig>();
+}
+
+TEST(ReliableLinkFix, OwedReackRetriesAfterHalFull) {
+  owed_reack_retries_after_hal_full<LapiLinkRig>();
+}
+
+TEST(ReliableLinkFix, RetransmitFiresOneTimeoutAfterTheLostSend) {
+  retransmit_fires_one_timeout_after_the_lost_send<LapiLinkRig>();
+}
+
+TEST(ReliableLinkFix, SequenceNumbersSurviveWireWrap) {
+  sequence_numbers_survive_wire_wrap<LapiLinkRig>();
+}
+
+TEST(ReliableLinkFix, PipesDuplicateBurstEarnsOneImmediateReack) {
+  duplicate_burst_earns_one_immediate_reack<PipesLinkRig>();
+}
+
+TEST(ReliableLinkFix, PipesOwedReackRetriesAfterHalFull) {
+  owed_reack_retries_after_hal_full<PipesLinkRig>();
+}
+
+TEST(ReliableLinkFix, PipesRetransmitFiresOneTimeoutAfterTheLostSend) {
+  retransmit_fires_one_timeout_after_the_lost_send<PipesLinkRig>();
+}
+
+TEST(ReliableLinkFix, PipesSequenceNumbersSurviveWireWrap) {
+  sequence_numbers_survive_wire_wrap<PipesLinkRig>();
 }
 
 TEST(ReliableLinkFix, UnwrapSeqSerialArithmetic) {
@@ -455,4 +613,4 @@ TEST(ReliableLinkFix, UnwrapSeqSerialArithmetic) {
 }
 
 }  // namespace
-}  // namespace sp::lapi
+}  // namespace sp::hal

@@ -381,7 +381,7 @@ TEST(Lapi, TransportRecoversFromLoss) {
       }
     }
   });
-  EXPECT_GT(m.lapi(0).retransmits() + m.lapi(1).retransmits(), 0);
+  EXPECT_GT(m.lapi(0).link_counters().retransmits + m.lapi(1).link_counters().retransmits, 0);
 }
 
 TEST(Lapi, PutvScattersBlocksRemotely) {

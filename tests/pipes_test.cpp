@@ -176,7 +176,7 @@ TEST(Pipes, RecoversFromPacketLoss) {
   rig.sim.at(0, [&] { rig.pipes[0]->write(1, {}, body.data(), body.size(), nullptr); });
   rig.sim.run();
   EXPECT_EQ(got, body) << "stream must survive 10% packet loss";
-  EXPECT_GT(rig.pipes[0]->retransmits(), 0);
+  EXPECT_GT(rig.pipes[0]->link_counters().retransmits, 0);
 }
 
 TEST(Pipes, OrderingHoldsUnderRouteSkew) {

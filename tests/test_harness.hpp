@@ -2,9 +2,8 @@
 //
 // Everything here is used by two or more of determinism_test, telemetry_test,
 // fault_injection_test and the mpi_*_test files: the lossy-fabric config
-// builder, the bounded-recovery assertion, the Fig. 11 ping-pong and the
-// early-arrival workloads, and the two-node LinkRig that unit-tests
-// ReliableLink through real wire traffic.
+// builder, the bounded-recovery assertion, and the Fig. 11 ping-pong and
+// early-arrival workloads.
 // Keep additions header-only (inline) — every test target includes this.
 #pragma once
 
@@ -12,14 +11,9 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <map>
 #include <memory>
-#include <span>
-#include <utility>
 #include <vector>
 
-#include "lapi/reliable_link.hpp"
-#include "lapi/wire.hpp"
 #include "mpi/machine.hpp"
 
 namespace sp::test {
@@ -147,59 +141,3 @@ inline std::unique_ptr<mpi::Machine> run_early_arrival(sim::MachineConfig cfg,
 }
 
 }  // namespace sp::test
-
-namespace sp::lapi {
-
-/// Two HAL-connected nodes with one ReliableLink pair and a hand-rolled
-/// kProtoLapi dispatch (mirroring Lapi::on_hal_packet): enough transport to
-/// drive accept()/on_ack() through real wire traffic, plus surgical per-seq
-/// drop control that random fabric loss can't provide.
-struct LinkRig {
-  explicit LinkRig(sim::MachineConfig c = {}) : cfg(c) {
-    fabric = std::make_unique<net::SwitchFabric>(sim, cfg, 2);
-    for (int i = 0; i < 2; ++i) {
-      rts.push_back(std::make_unique<sim::NodeRuntime>(sim, cfg, i));
-      hals.push_back(std::make_unique<hal::Hal>(*rts.back(), *fabric));
-    }
-    origin = std::make_unique<ReliableLink>(*rts[0], *hals[0], 1);
-    target = std::make_unique<ReliableLink>(*rts[1], *hals[1], 0);
-    hals[0]->register_protocol(hal::kProtoLapi, [this](int, std::span<const std::byte> b) {
-      const PktHdr h = parse_hdr(b);
-      if (h.kind == static_cast<std::uint8_t>(Kind::kAck)) origin->on_ack(h.pkt_seq);
-    });
-    hals[1]->register_protocol(hal::kProtoLapi, [this](int, std::span<const std::byte> b) {
-      const PktHdr h = parse_hdr(b);
-      if (h.kind == static_cast<std::uint8_t>(Kind::kAck)) return;
-      arrivals.emplace_back(sim.now(), h.pkt_seq);
-      auto it = drop_budget.find(h.pkt_seq);
-      if (it != drop_budget.end() && it->second > 0) {
-        --it->second;  // simulated loss of this specific delivery
-        return;
-      }
-      if (target->accept(h.pkt_seq)) fresh_bytes += h.data_len;
-    });
-  }
-
-  void submit_at(sim::TimeNs t, std::size_t len) {
-    sim.at(t, [this, len] {
-      ReliableLink::Message msg;
-      msg.meta.kind = static_cast<std::uint8_t>(Kind::kPut);
-      msg.meta.origin = 0;
-      msg.owned.assign(len, std::byte{0x5a});
-      origin->submit(std::move(msg));
-    });
-  }
-
-  sim::MachineConfig cfg;
-  sim::Simulator sim;
-  std::unique_ptr<net::SwitchFabric> fabric;
-  std::vector<std::unique_ptr<sim::NodeRuntime>> rts;
-  std::vector<std::unique_ptr<hal::Hal>> hals;
-  std::unique_ptr<ReliableLink> origin;
-  std::unique_ptr<ReliableLink> target;
-  std::map<std::uint32_t, int> drop_budget;  ///< wire seq -> deliveries to swallow
-  std::vector<std::pair<sim::TimeNs, std::uint32_t>> arrivals;
-  std::uint64_t fresh_bytes = 0;
-};
-
-}  // namespace sp::lapi
