@@ -35,11 +35,11 @@ MessageLink& RdmaNic::link(int peer) {
     // Link events report under the lapi.* telemetry kinds: the adapter speaks
     // LAPI's message framing.
     const ReliableLink::Profile prof{.proto = kProtoRdma,
-                                     .header_bytes = node_.cfg.rdma_header_bytes,
                                      .nic_context = true,
                                      .retransmit_ev = sim::Ev::kLapiRetransmit,
                                      .dup_ev = sim::Ev::kLapiDupRecv,
-                                     .ack_ev = sim::Ev::kLapiAck};
+                                     .ack_ev = sim::Ev::kLapiAck,
+                                     .header_bytes = node_.cfg.rdma_header_bytes};
     it = links_.emplace(peer, std::make_unique<MessageLink>(node_, hal_, peer, prof)).first;
   }
   return *it->second;

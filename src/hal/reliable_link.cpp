@@ -110,10 +110,9 @@ void ReliableLink::count_fresh() {
 
 void ReliableLink::send_ack() {
   const LinkHdr h{static_cast<std::uint32_t>(cum_in_), 1};
-  std::vector<std::byte> payload(sizeof(LinkHdr));
-  std::memcpy(payload.data(), &h, sizeof(LinkHdr));
   if (!profile_.nic_context) node_.cpu.charge(node_.sim, node_.cfg.ack_processing_ns);
-  if (hal_send(payload, profile_.header_bytes)) {
+  // The HAL stages the payload into its frame before returning.
+  if (hal_send(std::as_bytes(std::span(&h, 1)), profile_.header_bytes)) {
     unacked_count_ = 0;
     ack_pending_ = false;
     ++counters_.acks;

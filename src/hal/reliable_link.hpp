@@ -68,11 +68,11 @@ class ReliableLink {
   /// registered memory and sinks acks itself.
   struct Profile {
     ProtoId proto;
-    std::size_t header_bytes;  ///< Modeled wire header of every packet (acks too).
     bool nic_context;
-    sim::Ev retransmit_ev;  ///< a0 = peer, a1 = packet seq
-    sim::Ev dup_ev;         ///< a0 = peer, a1 = packet seq
-    sim::Ev ack_ev;         ///< a0 = peer, a1 = cumulative seq
+    sim::Ev retransmit_ev;     ///< a0 = peer, a1 = packet seq
+    sim::Ev dup_ev;            ///< a0 = peer, a1 = packet seq
+    sim::Ev ack_ev;            ///< a0 = peer, a1 = cumulative seq
+    std::size_t header_bytes;  ///< Modeled wire header of every packet (acks too).
   };
 
   struct Counters {
@@ -128,8 +128,6 @@ class ReliableLink {
 
   /// Every packet up to and including this seq has been received.
   [[nodiscard]] std::uint64_t received_through() const noexcept { return cum_in_; }
-  /// Data bytes (as returned by build_packet) sent and not yet acknowledged.
-  [[nodiscard]] std::size_t in_flight_bytes() const noexcept { return in_flight_bytes_; }
 
   /// True when nothing is queued or awaiting acknowledgement (fence support).
   [[nodiscard]] bool drained() const { return store_.empty() && !has_packet(); }
@@ -150,6 +148,8 @@ class ReliableLink {
  protected:
   [[nodiscard]] sim::NodeRuntime& node() const noexcept { return node_; }
   [[nodiscard]] const Profile& profile() const noexcept { return profile_; }
+  /// Data bytes (as returned by build_packet) sent and not yet acknowledged.
+  [[nodiscard]] std::size_t in_flight_bytes() const noexcept { return in_flight_bytes_; }
 
  private:
   /// A packet is queued and the transport's own limits admit it.

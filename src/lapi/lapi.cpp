@@ -75,11 +75,11 @@ Lapi::Lapi(sim::NodeRuntime& node, hal::Hal& hal, LapiGroup& group, int task_id)
 
 hal::ReliableLink::Profile Lapi::link_profile(const sim::MachineConfig& cfg) {
   return {.proto = hal::kProtoLapi,
-          .header_bytes = cfg.lapi_header_bytes,
           .nic_context = false,
           .retransmit_ev = sim::Ev::kLapiRetransmit,
           .dup_ev = sim::Ev::kLapiDupRecv,
-          .ack_ev = sim::Ev::kLapiAck};
+          .ack_ev = sim::Ev::kLapiAck,
+          .header_bytes = cfg.lapi_header_bytes};
 }
 
 hal::MessageLink& Lapi::link(int peer) {

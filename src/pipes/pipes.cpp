@@ -9,11 +9,11 @@ namespace sp::pipes {
 Pipes::Link::Link(sim::NodeRuntime& node, hal::Hal& hal, int peer)
     : hal::ReliableLink(node, hal, peer,
                         Profile{.proto = hal::kProtoPipes,
-                                .header_bytes = node.cfg.pipe_header_bytes,
                                 .nic_context = false,
                                 .retransmit_ev = sim::Ev::kPipeRetransmit,
                                 .dup_ev = sim::Ev::kPipeDupRecv,
-                                .ack_ev = sim::Ev::kPipeAck}) {}
+                                .ack_ev = sim::Ev::kPipeAck,
+                                .header_bytes = node.cfg.pipe_header_bytes}) {}
 
 Pipes::Pipes(sim::NodeRuntime& node, hal::Hal& hal)
     : node_(node), hal_(hal) {

@@ -406,7 +406,7 @@ struct LinkRigBase {
 struct LapiLinkRig : LinkRigBase {
   static constexpr ProtoId kProto = kProtoLapi;
 
-  LapiLinkRig() {
+  explicit LapiLinkRig(sim::MachineConfig c = {}) : LinkRigBase(c) {
     const ReliableLink::Profile prof = lapi::Lapi::link_profile(cfg);
     origin_link = std::make_unique<MessageLink>(*rts[0], *hals[0], 1, prof);
     target_link = std::make_unique<MessageLink>(*rts[1], *hals[1], 0, prof);
@@ -445,7 +445,7 @@ struct LapiLinkRig : LinkRigBase {
 struct PipesLinkRig : LinkRigBase {
   static constexpr ProtoId kProto = kProtoPipes;
 
-  PipesLinkRig() {
+  explicit PipesLinkRig(sim::MachineConfig c = {}) : LinkRigBase(c) {
     for (int i = 0; i < 2; ++i) {
       pipes.push_back(std::make_unique<pipes::Pipes>(*rts[static_cast<std::size_t>(i)],
                                                      *hals[static_cast<std::size_t>(i)]));
@@ -454,10 +454,14 @@ struct PipesLinkRig : LinkRigBase {
     hals[1]->register_protocol(kProto, [this](int src, std::span<const std::byte> b) {
       if (!drop_arrival(b)) upcall(src, b);
     });
+    // fresh_bytes counts only bytes that arrive in stream order: each must
+    // match the next byte written, so a misordered stream falls short.
     pipes[1]->set_on_data([this](int src) {
       std::vector<std::byte> sink(pipes[1]->available(src));
       pipes[1]->consume(src, sink.data(), sink.size());
-      fresh_bytes += sink.size();
+      for (std::byte b : sink) {
+        if (fresh_bytes < written.size() && b == written[fresh_bytes]) ++fresh_bytes;
+      }
     });
   }
 
@@ -476,13 +480,18 @@ struct PipesLinkRig : LinkRigBase {
 
   void submit_at(sim::TimeNs t, std::size_t len) {
     // The middle of a large write is borrowed until staged: keep it alive.
-    const std::byte* data = bodies.emplace_back(len, std::byte{0x5a}).data();
-    sim.at(t, [this, data, len] { pipes[0]->write(1, {}, data, len, nullptr); });
+    std::vector<std::byte>& body = bodies.emplace_back(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      body[i] = static_cast<std::byte>((written.size() + i) * 31 % 251);
+    }
+    written.insert(written.end(), body.begin(), body.end());
+    sim.at(t, [this, data = body.data(), len] { pipes[0]->write(1, {}, data, len, nullptr); });
   }
 
   std::vector<std::unique_ptr<pipes::Pipes>> pipes;
   Hal::RecvFn upcall;  ///< Node 1's Pipes upcall.
   std::deque<std::vector<std::byte>> bodies;
+  std::vector<std::byte> written;  ///< Every byte submitted, in stream order.
 };
 
 template <class Rig>
@@ -552,8 +561,12 @@ template <class Rig>
 void sequence_numbers_survive_wire_wrap() {
   // Both cursors start just below 2^32; an 80-packet message crosses the
   // 32-bit wire wrap mid-stream. Every packet must be accepted exactly once
-  // and acked, with no retransmits and no duplicates flagged.
-  Rig rig;
+  // and acked, with no retransmits and no duplicates flagged. Route skew
+  // reorders packets across the wrap, so the target's out-of-order
+  // bookkeeping (and Pipes' reorder buffer) must order by the unwrapped seq.
+  sim::MachineConfig cfg;
+  cfg.route_skew_ns = 50'000;
+  Rig rig(cfg);
   const std::uint64_t base = (1ULL << 32) - 40;
   rig.origin().fast_forward_seq(base);
   rig.target().fast_forward_seq(base);
