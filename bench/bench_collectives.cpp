@@ -92,8 +92,11 @@ double run_case(const std::string& primitive, const std::string& algorithm, std:
     const std::size_t count = bytes / sizeof(double);
     std::vector<double> a(std::max<std::size_t>(count, 1), w.rank() + 1.0);
     std::vector<double> b(std::max<std::size_t>(count, 1), 0.0);
-    std::vector<double> av(std::max<std::size_t>(count, 1) * n, w.rank() + 1.0);
-    std::vector<double> bv(std::max<std::size_t>(count, 1) * n, 0.0);
+    // Only alltoall moves a block per destination; reduce_scatter's `bytes`
+    // is already the whole vector.
+    const std::size_t vec = std::max<std::size_t>(count, 1) * (primitive == "alltoall" ? n : 1);
+    std::vector<double> av(vec, w.rank() + 1.0);
+    std::vector<double> bv(vec, 0.0);
     mpi.barrier(w);
     const double t0 = mpi.wtime();
     for (int i = 0; i < iters; ++i) {

@@ -250,19 +250,12 @@ void RdmaNic::handle_coll(std::span<const std::byte> uhdr, std::vector<std::byte
   coll_progress(key);
 }
 
-void RdmaNic::coll_start(CollOp&& op) {
+void RdmaNic::coll_start(net::CollOp&& op) {
   const std::uint64_t key = coll_key(op.ctx, op.seq);
   assert(!op.reduce_phase || op.root == 0);
   CollState& st = colls_[key];
   st.op = std::move(op);
   st.bound = true;
-  if (static_cast<int>(st.op.tasks.size()) <= 1) {
-    auto done = std::move(st.op.on_done);
-    ++nic_colls_;
-    colls_.erase(key);
-    if (done) done();
-    return;
-  }
   coll_progress(key);
 }
 
@@ -270,7 +263,7 @@ void RdmaNic::coll_progress(std::uint64_t key) {
   auto it = colls_.find(key);
   if (it == colls_.end() || !it->second.bound) return;
   CollState& st = it->second;
-  CollOp& op = st.op;
+  net::CollOp& op = st.op;
   const int n = static_cast<int>(op.tasks.size());
   const int v = (op.rank - op.root + n) % n;  // vrank; == rank when reduce_phase
   auto task_of_vrank = [&](int u) { return op.tasks[static_cast<std::size_t>((u + op.root) % n)]; };

@@ -22,6 +22,7 @@
 
 #include "hal/hal.hpp"
 #include "hal/reliable_link.hpp"
+#include "net/coll_op.hpp"
 #include "sim/node_runtime.hpp"
 
 namespace sp::hal {
@@ -41,26 +42,6 @@ class RdmaNic {
   /// payload (moved to the handler — the ring slot is recycled immediately).
   using WriteHandler =
       std::function<void(int src, std::span<const std::byte> imm, std::vector<std::byte>&& data)>;
-  /// Rank-order combine for the NIC allreduce: fold `from` (the higher-rank
-  /// operand) into `into` (the lower-rank accumulator), element order exact.
-  using Combine = std::function<void(std::byte* into, const std::byte* from, std::size_t len)>;
-
-  /// One offloaded collective: a binomial reduce to vrank 0 (phase 0, when
-  /// `reduce_phase`) followed by a binomial release/broadcast from vrank 0
-  /// (phase 1). Barrier = both phases with len 0; allreduce = both phases
-  /// with a combine; bcast = release phase only, vranked around `root`.
-  struct CollOp {
-    std::uint32_t ctx = 0;   ///< Communicator context id.
-    std::uint32_t seq = 0;   ///< Per-context collective sequence number.
-    int rank = 0;            ///< Caller's rank in the communicator.
-    int root = 0;            ///< Must be 0 when reduce_phase (rank-order combine).
-    std::vector<int> tasks;  ///< rank -> task id map (communicator group).
-    std::byte* buf = nullptr;
-    std::size_t len = 0;
-    bool reduce_phase = true;
-    Combine combine;              ///< Null for barrier / bcast.
-    std::function<void()> on_done;  ///< Fires in NIC/event context.
-  };
 
   RdmaNic(sim::NodeRuntime& node, Hal& hal);
 
@@ -88,10 +69,12 @@ class RdmaNic {
   void post_read(int src, Token token, std::byte* local, std::size_t len,
                  std::function<void()> on_done);
 
-  /// Start one offloaded collective. All members must call with the same
-  /// (ctx, seq) in posting order; early messages for a not-yet-posted
-  /// collective are stashed on the adapter.
-  void coll_start(CollOp&& op);
+  /// Start one offloaded collective on the adapter: a binomial reduce to
+  /// vrank 0 (when `reduce_phase`), then a binomial release from vrank 0,
+  /// vranked around `root`. All members must call with the same (ctx, seq)
+  /// in posting order; early messages for a not-yet-posted collective are
+  /// stashed on the adapter.
+  void coll_start(net::CollOp&& op);
 
   // --- statistics ---
   [[nodiscard]] std::int64_t writes() const noexcept { return writes_; }
@@ -127,7 +110,7 @@ class RdmaNic {
     std::size_t len = 0;
   };
   struct CollState {
-    CollOp op;
+    net::CollOp op;
     bool bound = false;
     bool up_sent = false;      ///< Reduce contribution forwarded (or root done).
     std::uint32_t next_mask = 1;  ///< Next child mask to fold (rank order).

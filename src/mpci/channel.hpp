@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <stdexcept>
@@ -60,34 +59,6 @@ class Channel {
   /// `st` (source, tag, length) without consuming the message. Selects the
   /// same entry post_recv would (select_ea).
   [[nodiscard]] bool iprobe(int ctx, int src_sel, int tag_sel, Status* st);
-
-  /// Rank-order combine for the NIC-resident allreduce: fold `from` (the
-  /// higher-rank operand) into `into` (the lower-rank accumulator).
-  using NicCombine = std::function<void(std::byte* into, const std::byte* from, std::size_t len)>;
-
-  // Adapter-resident collectives (DESIGN.md §14.4). A channel backed by a
-  // NIC with an offload engine runs the operation entirely on the adapter
-  // and blocks the rank fiber until it completes, returning true; the
-  // defaults return false and the caller falls back to a host algorithm.
-  // All members of ctx must use the same per-context `seq` posting order.
-  /// Capability probe: true when the nic_* hooks can succeed at all. The Mpi
-  /// layer checks this before opening a NIC telemetry span so host-only
-  /// channels never emit offload spans (pinned digests stay quiet).
-  [[nodiscard]] virtual bool nic_offload() const noexcept { return false; }
-  virtual bool nic_barrier(int /*ctx*/, std::uint32_t /*seq*/, int /*rank*/,
-                           const std::vector<int>& /*tasks*/) {
-    return false;
-  }
-  virtual bool nic_bcast(int /*ctx*/, std::uint32_t /*seq*/, int /*rank*/, int /*root*/,
-                         const std::vector<int>& /*tasks*/, std::byte* /*buf*/,
-                         std::size_t /*len*/) {
-    return false;
-  }
-  virtual bool nic_allreduce(int /*ctx*/, std::uint32_t /*seq*/, int /*rank*/,
-                             const std::vector<int>& /*tasks*/, std::byte* /*buf*/,
-                             std::size_t /*len*/, NicCombine /*combine*/) {
-    return false;
-  }
 
   /// Notified (through the wake gate) whenever a new envelope becomes
   /// matchable — MPI_Probe blocks on this.

@@ -325,66 +325,4 @@ void RdmaChannel::post_recv(RecvReq& req) {
   send_control_env(src, cts);
 }
 
-// ---------------------------------------------------------------------------
-// Adapter-resident collectives
-// ---------------------------------------------------------------------------
-
-bool RdmaChannel::run_nic_coll(hal::RdmaNic::CollOp&& op) {
-  node_.app_charge(node_.cfg.rdma_doorbell_ns);  // post the descriptor
-  bool done = false;
-  sim::SimCondition cond;
-  op.on_done = [this, &done, &cond] {
-    node_.publish([this, &done, &cond] {
-      done = true;
-      cond.notify_all(node_.sim);
-    });
-  };
-  nic_.coll_start(std::move(op));
-  while (!done) cond.wait(*node_.thread);
-  node_.app_charge(node_.cfg.rdma_cq_ns);  // reap the completion CQE
-  return true;
-}
-
-bool RdmaChannel::nic_barrier(int ctx, std::uint32_t seq, int rank,
-                              const std::vector<int>& tasks) {
-  hal::RdmaNic::CollOp op;
-  op.ctx = static_cast<std::uint32_t>(ctx);
-  op.seq = seq;
-  op.rank = rank;
-  op.tasks = tasks;
-  op.reduce_phase = true;
-  return run_nic_coll(std::move(op));
-}
-
-bool RdmaChannel::nic_bcast(int ctx, std::uint32_t seq, int rank, int root,
-                            const std::vector<int>& tasks, std::byte* buf, std::size_t len) {
-  if (len > node_.cfg.rdma_nic_coll_max_bytes) return false;
-  hal::RdmaNic::CollOp op;
-  op.ctx = static_cast<std::uint32_t>(ctx);
-  op.seq = seq;
-  op.rank = rank;
-  op.root = root;
-  op.tasks = tasks;
-  op.buf = buf;
-  op.len = len;
-  op.reduce_phase = false;
-  return run_nic_coll(std::move(op));
-}
-
-bool RdmaChannel::nic_allreduce(int ctx, std::uint32_t seq, int rank,
-                                const std::vector<int>& tasks, std::byte* buf, std::size_t len,
-                                NicCombine combine) {
-  if (len > node_.cfg.rdma_nic_coll_max_bytes) return false;
-  hal::RdmaNic::CollOp op;
-  op.ctx = static_cast<std::uint32_t>(ctx);
-  op.seq = seq;
-  op.rank = rank;
-  op.tasks = tasks;
-  op.buf = buf;
-  op.len = len;
-  op.reduce_phase = true;
-  op.combine = std::move(combine);
-  return run_nic_coll(std::move(op));
-}
-
 }  // namespace sp::mpci

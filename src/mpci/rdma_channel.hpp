@@ -20,9 +20,8 @@
 // parking. Host time is charged only for doorbells (rank-fiber entry
 // points), completion-queue reaps, and the eager ring -> user-buffer copy.
 //
-// Collectives: nic_barrier / nic_bcast / nic_allreduce run entirely on the
-// adapter (RdmaNic::coll_start); the rank fiber blocks on a condition until
-// the NIC reports completion — the host never executes per-message work.
+// Collectives do not pass through this channel: the Mpi layer hands the
+// adapter's offload engine (RdmaNic::coll_start) one net::CollOp directly.
 #pragma once
 
 #include <cstdint>
@@ -43,13 +42,6 @@ class RdmaChannel : public Channel {
   void post_recv(RecvReq& req) override;
   void progress(SendReq& req) override;
 
-  [[nodiscard]] bool nic_offload() const noexcept override { return true; }
-  bool nic_barrier(int ctx, std::uint32_t seq, int rank, const std::vector<int>& tasks) override;
-  bool nic_bcast(int ctx, std::uint32_t seq, int rank, int root, const std::vector<int>& tasks,
-                 std::byte* buf, std::size_t len) override;
-  bool nic_allreduce(int ctx, std::uint32_t seq, int rank, const std::vector<int>& tasks,
-                     std::byte* buf, std::size_t len, NicCombine combine) override;
-
  private:
   void on_write(int src, std::span<const std::byte> imm, std::vector<std::byte>&& data);
   void handle_eager(int src, const Envelope& env, std::vector<std::byte>&& data);
@@ -65,8 +57,6 @@ class RdmaChannel : public Channel {
   void send_control_env(int dst_task, const Envelope& env) override;
   /// One eager left the ring: recycle the slot, batch a credit home.
   void ring_slot_freed(int src);
-  /// Blocking driver shared by the three adapter-resident collectives.
-  bool run_nic_coll(hal::RdmaNic::CollOp&& op);
   void maybe_complete_send(SendReq& req);
 
   hal::RdmaNic& nic_;

@@ -198,8 +198,9 @@ void chunk_allgather_pow2(Mpi& mpi, std::byte* acc, Datatype d, const Comm& c, i
 //
 // Keyed by message size, communicator size, AND topology (DESIGN.md §13):
 // cutovers derived on the SP multistage crossbar shift on fabrics with a
-// different diameter/bisection profile. Explicit algorithm pins always win —
-// the conformance explorer relies on pins overriding every auto rule.
+// different diameter/bisection profile. Explicit host-algorithm pins always
+// win — the conformance explorer relies on pins overriding every auto rule;
+// an offload pin that cannot run (plan) takes the host auto table instead.
 //  * torus: neighbor links are the only cheap links, so the chain pipeline
 //    (rank r -> r+1 maps onto torus neighbors under the default row-major
 //    node ids) earns its keep at half the usual size, and the
@@ -217,27 +218,7 @@ namespace {
          cfg.topology == sim::TopologyKind::kTorus3d;
 }
 
-/// Auto-selection gate for the switch combining tables: the topology's bit
-/// must be set in in_network_topology_mask AND the vector must fit the table
-/// entry. Pins (coll id 5) bypass this — the Mpi layer still falls back to
-/// the host table if the engine itself declines.
-[[nodiscard]] bool in_network_auto(const sim::MachineConfig& cfg, std::size_t bytes,
-                                   int n) noexcept {
-  return n > 1 && bytes <= cfg.in_network_coll_max_bytes && in_network_enabled(cfg);
-}
-}  // namespace
-
-bool in_network_enabled(const sim::MachineConfig& cfg) noexcept {
-  return ((cfg.in_network_topology_mask >> static_cast<int>(cfg.topology)) & 1u) != 0;
-}
-
-BcastAlgo select_bcast(const sim::MachineConfig& cfg, std::size_t bytes, int n) {
-  if (cfg.coll_bcast_algo != 0) return static_cast<BcastAlgo>(cfg.coll_bcast_algo);
-  if (in_network_auto(cfg, bytes, n)) return BcastAlgo::kInNetwork;
-  return select_bcast_host(cfg, bytes, n);
-}
-
-BcastAlgo select_bcast_host(const sim::MachineConfig& cfg, std::size_t bytes, int n) {
+[[nodiscard]] BcastAlgo bcast_host(const sim::MachineConfig& cfg, std::size_t bytes, int n) {
   std::size_t pipeline_min = cfg.coll_bcast_pipeline_min_bytes;
   if (is_torus(cfg)) pipeline_min /= 2;
   if (n <= 2 || bytes < pipeline_min) return BcastAlgo::kBinomial;
@@ -252,19 +233,52 @@ BcastAlgo select_bcast_host(const sim::MachineConfig& cfg, std::size_t bytes, in
   return n >= 8 ? BcastAlgo::kScatterAllgather : BcastAlgo::kPipelined;
 }
 
-AllreduceAlgo select_allreduce(const sim::MachineConfig& cfg, std::size_t bytes, int n) {
-  if (cfg.coll_allreduce_algo != 0) return static_cast<AllreduceAlgo>(cfg.coll_allreduce_algo);
-  if (in_network_auto(cfg, bytes, n)) return AllreduceAlgo::kInNetwork;
-  return select_allreduce_host(cfg, bytes, n);
-}
-
-AllreduceAlgo select_allreduce_host(const sim::MachineConfig& cfg, std::size_t bytes, int n) {
+[[nodiscard]] AllreduceAlgo allreduce_host(const sim::MachineConfig& cfg, std::size_t bytes,
+                                           int n) {
   std::size_t rab_min = cfg.coll_allreduce_rabenseifner_min_bytes;
   if (cfg.topology == sim::TopologyKind::kFatTree) rab_min /= 2;
-  if (n <= 2 || bytes < rab_min) {
-    return AllreduceAlgo::kRecursiveDoubling;
-  }
+  if (n <= 2 || bytes < rab_min) return AllreduceAlgo::kRecursiveDoubling;
   return AllreduceAlgo::kRabenseifner;
+}
+
+/// The host algorithm auto-selection picks when nothing is offloaded.
+[[nodiscard]] int host_auto(const sim::MachineConfig& cfg, Primitive p, std::size_t bytes,
+                            int n) {
+  switch (p) {
+    case Primitive::kBarrier: return static_cast<int>(BarrierAlgo::kDissemination);
+    case Primitive::kBcast: return static_cast<int>(bcast_host(cfg, bytes, n));
+    case Primitive::kAllreduce: break;
+  }
+  return static_cast<int>(allreduce_host(cfg, bytes, n));
+}
+}  // namespace
+
+int plan(const sim::MachineConfig& cfg, Primitive p, std::size_t bytes, int n, Datatype d,
+         Caps caps) {
+  // The offload ids are shared by every primitive (coll.hpp).
+  constexpr int kNic = static_cast<int>(BcastAlgo::kNicOffload);
+  constexpr int kInNet = static_cast<int>(BcastAlgo::kInNetwork);
+  const int pin = p == Primitive::kBarrier ? cfg.coll_barrier_algo
+                  : p == Primitive::kBcast ? cfg.coll_bcast_algo
+                                           : cfg.coll_allreduce_algo;
+  const bool innet_fits = caps.innet && n > 1 && bytes <= cfg.in_network_coll_max_bytes;
+  const bool nic_fits = caps.nic && n > 1 && bytes <= cfg.rdma_nic_coll_max_bytes;
+  if (pin == kInNet) return innet_fits ? kInNet : host_auto(cfg, p, bytes, n);
+  if (pin == kNic) return nic_fits ? kNic : host_auto(cfg, p, bytes, n);
+  if (pin != 0) return pin;
+  // Auto offloads an allreduce only for bitwise-exact element types: both
+  // engines fold in rank order, but in a different grouping from the host
+  // trees, and float/double addition is not associative, so offloading
+  // those would break cross-backend numeric equality. A pin runs any type.
+  const bool exact = p != Primitive::kAllreduce || d == Datatype::kByte ||
+                     d == Datatype::kInt || d == Datatype::kLong;
+  // The switch tree is strictly shallower than the adapter's, so it wins
+  // when the topology mask enables it.
+  const bool innet_on =
+      ((cfg.in_network_topology_mask >> static_cast<int>(cfg.topology)) & 1u) != 0;
+  if (exact && innet_fits && innet_on) return kInNet;
+  if (exact && nic_fits) return kNic;
+  return host_auto(cfg, p, bytes, n);
 }
 
 AlltoallAlgo select_alltoall(const sim::MachineConfig& cfg, std::size_t block_bytes, int n) {

@@ -2,9 +2,13 @@
 //
 // Each collective primitive has several point-to-point decompositions with
 // different latency/bandwidth trade-offs; a per-(primitive, message-size,
-// comm-size) selection table picks one at call time. Cutover thresholds and
-// per-primitive pins live in MachineConfig (spsim --coll-algo overrides
-// them), so benchmarks and the conformance matrix can force any algorithm.
+// comm-size, topology) selection table picks one at call time. Barrier,
+// bcast and allreduce can also run on an offload engine (the RDMA adapter or
+// the switch combining tables); for those three, plan() returns the final
+// choice, offload or host, so the Mpi layer only dispatches on it. Cutover
+// thresholds and per-primitive pins live in MachineConfig (spsim --coll-algo
+// overrides them), so benchmarks and the conformance matrix can force any
+// algorithm.
 //
 // Every algorithm here preserves MPI reduction semantics exactly: operands
 // combine in communicator rank order (v0 op v1 op ... op v_{n-1}, regrouped
@@ -21,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "mpi/comm.hpp"
@@ -36,13 +41,10 @@ namespace sp::mpi::coll {
 
 // Per-primitive algorithm ids. Value 0 is always "auto" (resolve from the
 // MachineConfig cutover table); the MachineConfig pins store these as ints.
-// kNicOffload = 4 across primitives: run the operation on the adapter via
-// the channel's nic_* hook; the Mpi layer falls back to the host auto table
-// (select_*_host) when the channel declines (no NIC, or message too large).
-// kInNetwork = 5 across primitives: run the operation in the switch
-// combining tables (net::CombiningEngine, DESIGN.md §16); the Mpi layer
-// likewise falls back to select_*_host when the engine declines (message
-// above in_network_coll_max_bytes, or comm too small to profit).
+// Two ids are offload engines rather than host decompositions, with the same
+// value on every primitive: kNicOffload = 4 runs the operation on the RDMA
+// adapter (DESIGN.md §14.4) and kInNetwork = 5 in the switch combining
+// tables (net::CombiningEngine, DESIGN.md §16).
 enum class BcastAlgo : int {
   kAuto = 0, kBinomial, kPipelined, kScatterAllgather, kNicOffload, kInNetwork
 };
@@ -53,31 +55,40 @@ enum class AlltoallAlgo : int { kAuto = 0, kPairwise, kBruck };
 enum class ReduceScatterAlgo : int { kAuto = 0, kReduceScatter, kRecursiveHalving };
 enum class ScanAlgo : int { kAuto = 0, kLinear, kBinomial };
 /// Barrier pins (cfg.coll_barrier_algo): host dissemination is the only host
-/// algorithm, so the enum exists mainly to name the NIC pin.
+/// algorithm, so the enum exists mainly to name the offload pins.
 enum class BarrierAlgo : int {
   kAuto = 0, kDissemination = 1, kNicOffload = 4, kInNetwork = 5
 };
 
-/// Whether in_network_topology_mask enables switch combining on the active
-/// topology (auto-selection gate; explicit pins bypass it).
-[[nodiscard]] bool in_network_enabled(const sim::MachineConfig& cfg) noexcept;
+// --- dispatch plan for the offload-capable primitives ----------------------
 
-// --- selection table (resolves kAuto; pins pass through) -------------------
-[[nodiscard]] BcastAlgo select_bcast(const sim::MachineConfig& cfg, std::size_t bytes, int n);
-[[nodiscard]] AllreduceAlgo select_allreduce(const sim::MachineConfig& cfg, std::size_t bytes,
-                                             int n);
+enum class Primitive : std::uint8_t { kBarrier, kBcast, kAllreduce };
+
+/// Offload engines the calling rank can reach: the RDMA adapter (only the
+/// rdma backend has one) and the switch combining tables.
+struct Caps {
+  bool nic = false;
+  bool innet = false;
+};
+
+/// The algorithm one barrier, bcast or allreduce call runs, as the
+/// primitive's algorithm id (a BarrierAlgo, BcastAlgo or AllreduceAlgo value;
+/// never kAuto). Every decline is applied here, so the caller only
+/// dispatches: an offload needs its engine, n > 1 and `bytes` within the
+/// engine's cap (rdma_nic_coll_max_bytes, in_network_coll_max_bytes); a
+/// pinned offload that cannot run takes the host auto table instead. Auto
+/// prefers the switch (when in_network_topology_mask enables the topology),
+/// then the adapter, then the host table, and offloads an allreduce only
+/// for bitwise-exact element types. Pure: depends on its arguments only.
+[[nodiscard]] int plan(const sim::MachineConfig& cfg, Primitive p, std::size_t bytes, int n,
+                       Datatype d, Caps caps);
+
+// --- selection table for the host-only primitives (resolves kAuto) ---------
 [[nodiscard]] AlltoallAlgo select_alltoall(const sim::MachineConfig& cfg,
                                            std::size_t block_bytes, int n);
 [[nodiscard]] ReduceScatterAlgo select_reduce_scatter(const sim::MachineConfig& cfg,
                                                       std::size_t total_bytes, int n);
 [[nodiscard]] ScanAlgo select_scan(const sim::MachineConfig& cfg, std::size_t bytes, int n);
-
-// Host-only auto resolution, ignoring pins. The Mpi layer uses these as the
-// fallback when a pinned kNicOffload is declined by the channel.
-[[nodiscard]] BcastAlgo select_bcast_host(const sim::MachineConfig& cfg, std::size_t bytes,
-                                          int n);
-[[nodiscard]] AllreduceAlgo select_allreduce_host(const sim::MachineConfig& cfg,
-                                                  std::size_t bytes, int n);
 
 // Telemetry ids (sim::CollAlgo) for the resolved choices.
 [[nodiscard]] sim::CollAlgo telem_id(BcastAlgo a) noexcept;

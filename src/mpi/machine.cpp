@@ -65,12 +65,12 @@ Machine::Machine(const sim::MachineConfig& cfg, int num_tasks, Backend backend)
         n->channel = std::make_unique<mpci::RdmaChannel>(*n->runtime, *n->rdma, t, num_tasks_);
         break;
     }
-    n->mpi = std::make_unique<Mpi>(*n->runtime, *n->channel, t, num_tasks_);
-    hal::Hal* hal_ptr = n->hal.get();
-    n->mpi->set_interrupt_hook([hal_ptr](bool on) { hal_ptr->set_interrupt_mode(on); });
     // Every backend gets the switch combining engine: in-network collectives
     // are a property of the interconnect, not of one adapter type.
-    n->mpi->set_combining(&fabric_->combining());
+    n->mpi = std::make_unique<Mpi>(*n->runtime, *n->channel, t, num_tasks_, n->rdma.get(),
+                                   &fabric_->combining());
+    hal::Hal* hal_ptr = n->hal.get();
+    n->mpi->set_interrupt_hook([hal_ptr](bool on) { hal_ptr->set_interrupt_mode(on); });
     nodes_.push_back(std::move(n));
   }
 }

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "hal/rdma_nic.hpp"
 #include "mpi/coll.hpp"
 #include "mpi/optrace.hpp"
 #include "net/combining.hpp"
@@ -130,8 +131,9 @@ void rec_wait(optrace::Recorder* rec, int rank, std::int64_t target) {
 
 #define SP_MPI_CALL(name) MpiCallScope sp_mpi_call_scope_(node_, sim::MpiCall::name)
 
-Mpi::Mpi(sim::NodeRuntime& node, mpci::Channel& channel, int task_id, int num_tasks)
-    : node_(node), channel_(channel), task_id_(task_id) {
+Mpi::Mpi(sim::NodeRuntime& node, mpci::Channel& channel, int task_id, int num_tasks,
+         hal::RdmaNic* nic, net::CombiningEngine* combining)
+    : node_(node), channel_(channel), task_id_(task_id), nic_(nic), combining_(combining) {
   std::vector<int> tasks(static_cast<std::size_t>(num_tasks));
   std::iota(tasks.begin(), tasks.end(), 0);
   world_ = Comm(0, std::move(tasks), task_id);
@@ -671,23 +673,25 @@ void* Mpi::buffer_detach() {
 // different-sized split() sub-communicators — where n <= 1 holds for some
 // members and not others — keep their coll_seq_ counters in lockstep.
 
-bool Mpi::innet_coll(const Comm& c, std::uint32_t seq, int root, std::byte* buf,
-                     std::size_t len, bool reduce_phase,
-                     std::function<void(std::byte*, const std::byte*, std::size_t)> combine) {
-  if (combining_ == nullptr || len > node_.cfg.in_network_coll_max_bytes) return false;
-  // Table-entry install + doorbell on the host side, then park the rank
-  // fiber until the engine's completion event fires — the same blocking
-  // idiom as the RDMA channel's NIC-resident collectives.
-  node_.app_charge(node_.cfg.innet_post_ns);
+int Mpi::plan(coll::Primitive p, std::size_t bytes, int n, Datatype d) const {
+  return coll::plan(node_.cfg, p, bytes, n, d, {nic_ != nullptr, combining_ != nullptr});
+}
+
+void Mpi::offload(bool in_network, const Comm& c, int tag, int root, void* buf,
+                  std::size_t len, bool reduce_phase, net::Combine combine) {
+  // Install the op (switch table entry, or the adapter's doorbell), park the
+  // rank fiber until the engine's completion event fires, then reap it.
+  const sim::MachineConfig& cfg = node_.cfg;
+  node_.app_charge(in_network ? cfg.innet_post_ns : cfg.rdma_doorbell_ns);
   bool done = false;
   sim::SimCondition cond;
-  net::CombiningEngine::Op op;
-  op.ctx = c.ctx();
-  op.seq = seq;
+  net::CollOp op;
+  op.ctx = static_cast<std::uint32_t>(c.ctx());
+  op.seq = static_cast<std::uint32_t>(tag);
   op.rank = c.rank();
   op.root = root;
   op.tasks = c.tasks();
-  op.buf = buf;
+  op.buf = static_cast<std::byte*>(buf);
   op.len = len;
   op.reduce_phase = reduce_phase;
   op.combine = std::move(combine);
@@ -697,11 +701,14 @@ bool Mpi::innet_coll(const Comm& c, std::uint32_t seq, int root, std::byte* buf,
       cond.notify_all(node_.sim);
     });
   };
-  combining_->start(std::move(op));
+  if (in_network) {
+    combining_->start(std::move(op));
+  } else {
+    nic_->coll_start(std::move(op));
+  }
   assert(node_.thread != nullptr);
   while (!done) cond.wait(*node_.thread);
-  node_.app_charge(node_.cfg.innet_post_ns);
-  return true;
+  node_.app_charge(in_network ? cfg.innet_post_ns : cfg.rdma_cq_ns);
 }
 
 void Mpi::barrier(const Comm& c) {
@@ -714,28 +721,18 @@ void Mpi::barrier(const Comm& c) {
   const int tag = coll_tag();
   if (n <= 1) return;
   const int me = c.rank();
-  // Adapter-resident barrier (DESIGN.md §14.4): auto prefers the NIC when
-  // the channel has one; pin kNicOffload requests it explicitly. A declined
-  // offload — or a host-only channel — falls back to dissemination, so the
-  // pin is safe on every backend.
-  const auto pin = static_cast<coll::BarrierAlgo>(node_.cfg.coll_barrier_algo);
-  // Switch-combining barrier (DESIGN.md §16): a zero-byte reduce phase
-  // through the combining tree. Tried before the NIC — when both are
-  // enabled the in-network path is strictly shallower.
-  if (pin == coll::BarrierAlgo::kInNetwork ||
-      (pin == coll::BarrierAlgo::kAuto && coll::in_network_enabled(node_.cfg))) {
-    CollScope span(node_, sim::CollAlgo::kBarrierInNetwork, 0);
-    if (innet_coll(c, static_cast<std::uint32_t>(tag), 0, nullptr, 0,
-                   /*reduce_phase=*/true, nullptr)) {
-      return;
-    }
-  }
-  if (pin != coll::BarrierAlgo::kDissemination && pin != coll::BarrierAlgo::kInNetwork &&
-      channel_.nic_offload()) {
-    CollScope span(node_, sim::CollAlgo::kBarrierNicOffload, 0);
-    if (channel_.nic_barrier(c.ctx(), static_cast<std::uint32_t>(tag), me, c.tasks())) {
-      return;
-    }
+  // Offloaded barrier (DESIGN.md §14.4, §16): a zero-byte reduce phase
+  // through the adapter's or the switch's combining tree.
+  const auto algo = static_cast<coll::BarrierAlgo>(plan(coll::Primitive::kBarrier, 0, n,
+                                                        Datatype::kByte));
+  if (algo == coll::BarrierAlgo::kNicOffload || algo == coll::BarrierAlgo::kInNetwork) {
+    const bool in_network = algo == coll::BarrierAlgo::kInNetwork;
+    CollScope span(node_,
+                   in_network ? sim::CollAlgo::kBarrierInNetwork
+                              : sim::CollAlgo::kBarrierNicOffload,
+                   0);
+    offload(in_network, c, tag, 0, nullptr, 0, /*reduce_phase=*/true, nullptr);
+    return;
   }
   // Dissemination barrier: log2(n) rounds of sendrecv.
   for (int span = 1; span < n; span <<= 1) {
@@ -757,40 +754,15 @@ void Mpi::bcast(void* buf, std::size_t count, Datatype d, int root, const Comm& 
   const int tag = coll_tag();
   if (n <= 1) return;
   const std::size_t bytes = count * datatype_size(d);
-  coll::BcastAlgo algo = coll::select_bcast(node_.cfg, bytes, n);
-  // Switch-combining replication (pure data movement, bitwise identical to
-  // any host tree). Auto reaches here only via the topology mask; a pinned
-  // kInNetwork above the table cap falls back to the host auto table.
-  if (algo == coll::BcastAlgo::kInNetwork) {
-    {
-      CollScope innet_span(node_, sim::CollAlgo::kBcastInNetwork, bytes);
-      if (innet_coll(c, static_cast<std::uint32_t>(tag), root,
-                     static_cast<std::byte*>(buf), bytes, /*reduce_phase=*/false,
-                     nullptr)) {
-        return;
-      }
-    }
-    algo = coll::select_bcast_host(node_.cfg, bytes, n);
-  }
-  // NIC offload: auto tries the adapter for small payloads (pure data
-  // movement — bitwise identical to any host tree); a pinned kNicOffload is
-  // attempted regardless of size and falls back to the host auto table when
-  // the channel declines.
-  const bool nic_capable =
-      channel_.nic_offload() && bytes <= node_.cfg.rdma_nic_coll_max_bytes;
-  if (algo == coll::BcastAlgo::kNicOffload ||
-      (node_.cfg.coll_bcast_algo == 0 && nic_capable)) {
-    if (nic_capable) {
-      CollScope nic_span(node_, sim::CollAlgo::kBcastNicOffload, bytes);
-      if (channel_.nic_bcast(c.ctx(), static_cast<std::uint32_t>(tag), c.rank(), root,
-                             c.tasks(), static_cast<std::byte*>(buf), bytes)) {
-        return;
-      }
-    }
-    algo = coll::select_bcast_host(node_.cfg, bytes, n);
-  }
+  const auto algo = static_cast<coll::BcastAlgo>(plan(coll::Primitive::kBcast, bytes, n, d));
   CollScope span(node_, coll::telem_id(algo), bytes);
   switch (algo) {
+    case coll::BcastAlgo::kNicOffload:
+    case coll::BcastAlgo::kInNetwork:
+      // Pure data movement: bitwise identical to any host tree.
+      offload(algo == coll::BcastAlgo::kInNetwork, c, tag, root, buf, bytes,
+              /*reduce_phase=*/false, nullptr);
+      break;
     case coll::BcastAlgo::kPipelined:
       coll::bcast_pipelined(*this, buf, count, d, root, c, tag, node_.cfg.coll_segment_bytes);
       break;
@@ -834,45 +806,13 @@ void Mpi::allreduce(const void* sendb, void* recvb, std::size_t count, Datatype 
   const int n = c.size();
   const int tag = coll_tag();
   const std::size_t bytes = count * datatype_size(d);
-  coll::AllreduceAlgo algo = coll::select_allreduce(node_.cfg, bytes, n);
-  // NIC offload. Auto only offloads bitwise-exact element types: the
-  // adapter's binomial combine shape differs from the host trees', and
-  // float/double addition is not associative, so offloading those would
-  // break cross-backend numeric equality. A pin attempts any type (the
-  // NIC combine still folds in communicator rank order).
-  const bool exact = d == Datatype::kByte || d == Datatype::kInt || d == Datatype::kLong;
-  // Switch-combining allreduce: the fixed child-port fold IS the sequential
-  // rank-order reduction, so like the NIC path, auto restricts itself to
-  // bitwise-exact element types while a pin attempts anything. n > 1 keeps
-  // the degenerate single-rank case on the host copy path.
-  if (algo == coll::AllreduceAlgo::kInNetwork &&
-      (node_.cfg.coll_allreduce_algo != 0 || exact) && n > 1) {
-    {
-      CollScope innet_span(node_, sim::CollAlgo::kAllreduceInNetwork, bytes);
-      if (bytes > 0 && bytes <= node_.cfg.in_network_coll_max_bytes &&
-          combining_ != nullptr) {
-        node_.app_charge(sim::copy_cost(node_.cfg, bytes));
-        std::memcpy(recvb, sendb, bytes);
-      }
-      auto combine = [op, d](std::byte* into, const std::byte* from, std::size_t len) {
-        reduce_apply(op, d, from, into, len / datatype_size(d));
-      };
-      if (innet_coll(c, static_cast<std::uint32_t>(tag), 0,
-                     static_cast<std::byte*>(recvb), bytes, /*reduce_phase=*/true,
-                     std::move(combine))) {
-        return;
-      }
-    }
-  }
-  if (algo == coll::AllreduceAlgo::kInNetwork) {
-    algo = coll::select_allreduce_host(node_.cfg, bytes, n);
-  }
-  const bool nic_capable = channel_.nic_offload() && n > 1 &&
-                           bytes <= node_.cfg.rdma_nic_coll_max_bytes;
-  if (algo == coll::AllreduceAlgo::kNicOffload ||
-      (node_.cfg.coll_allreduce_algo == 0 && nic_capable && exact)) {
-    if (nic_capable) {
-      CollScope nic_span(node_, sim::CollAlgo::kAllreduceNicOffload, bytes);
+  const auto algo =
+      static_cast<coll::AllreduceAlgo>(plan(coll::Primitive::kAllreduce, bytes, n, d));
+  CollScope span(node_, coll::telem_id(algo), bytes);
+  switch (algo) {
+    case coll::AllreduceAlgo::kNicOffload:
+    case coll::AllreduceAlgo::kInNetwork: {
+      // Both engines fold the contributions in communicator rank order.
       if (bytes > 0) {
         node_.app_charge(sim::copy_cost(node_.cfg, bytes));
         std::memcpy(recvb, sendb, bytes);
@@ -880,16 +820,10 @@ void Mpi::allreduce(const void* sendb, void* recvb, std::size_t count, Datatype 
       auto combine = [op, d](std::byte* into, const std::byte* from, std::size_t len) {
         reduce_apply(op, d, from, into, len / datatype_size(d));
       };
-      if (channel_.nic_allreduce(c.ctx(), static_cast<std::uint32_t>(tag), c.rank(),
-                                 c.tasks(), static_cast<std::byte*>(recvb), bytes,
-                                 std::move(combine))) {
-        return;
-      }
+      offload(algo == coll::AllreduceAlgo::kInNetwork, c, tag, 0, recvb, bytes,
+              /*reduce_phase=*/true, std::move(combine));
+      break;
     }
-    algo = coll::select_allreduce_host(node_.cfg, bytes, n);
-  }
-  CollScope span(node_, coll::telem_id(algo), bytes);
-  switch (algo) {
     case coll::AllreduceAlgo::kRecursiveDoubling:
       coll::allreduce_recursive_doubling(*this, sendb, recvb, count, d, op, c, tag);
       break;

@@ -15,10 +15,16 @@
 #include <vector>
 
 #include "mpci/channel.hpp"
+#include "mpi/coll.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/datatype.hpp"
 #include "mpi/derived_datatype.hpp"
+#include "net/coll_op.hpp"
 #include "sim/node_runtime.hpp"
+
+namespace sp::hal {
+class RdmaNic;
+}  // namespace sp::hal
 
 namespace sp::net {
 class CombiningEngine;
@@ -77,7 +83,11 @@ class Request {
 
 class Mpi {
  public:
-  Mpi(sim::NodeRuntime& node, mpci::Channel& channel, int task_id, int num_tasks);
+  /// `nic` and `combining` are the collective offload engines this rank can
+  /// reach (DESIGN.md §14.4, §16): the RDMA adapter (null unless the channel
+  /// runs on one) and the fabric's switch combining tables.
+  Mpi(sim::NodeRuntime& node, mpci::Channel& channel, int task_id, int num_tasks,
+      hal::RdmaNic* nic, net::CombiningEngine* combining);
 
   Mpi(const Mpi&) = delete;
   Mpi& operator=(const Mpi&) = delete;
@@ -199,11 +209,6 @@ class Mpi {
   void set_interrupt_mode(bool on);
   /// Wired by the Machine: flips the HAL delivery mode.
   void set_interrupt_hook(std::function<void(bool)> fn) { interrupt_hook_ = std::move(fn); }
-  /// Wired by the Machine: the fabric's switch-side combining engine
-  /// (DESIGN.md §16). Unlike the NIC offload this is a property of the
-  /// interconnect, so every channel gets it; null leaves in_network pins
-  /// falling back to the host algorithm table.
-  void set_combining(net::CombiningEngine* engine) { combining_ = engine; }
   /// Attach (or detach, with null) an op-trace recorder. Only top-level calls
   /// record: collectives' internal point-to-point traffic is depth-suppressed.
   void set_recorder(optrace::Recorder* rec) noexcept {
@@ -215,13 +220,13 @@ class Mpi {
   [[nodiscard]] sim::NodeRuntime& node() noexcept { return node_; }
 
  private:
-  /// Run one collective phase on the switch combining engine (blocking; the
-  /// rank fiber parks on a SimCondition until the engine delivers). `buf` is
-  /// contribution in / result out. Returns false when the engine is absent
-  /// or declines (len > in_network_coll_max_bytes) — caller falls back.
-  bool innet_coll(const Comm& c, std::uint32_t seq, int root, std::byte* buf,
-                  std::size_t len, bool reduce_phase,
-                  std::function<void(std::byte*, const std::byte*, std::size_t)> combine);
+  /// coll::plan for this rank's engines: the algorithm id the call runs.
+  [[nodiscard]] int plan(coll::Primitive p, std::size_t bytes, int n, Datatype d) const;
+  /// Run one collective on an offload engine, the switch combining tables
+  /// when `in_network` and the adapter otherwise, and park the rank fiber
+  /// until it completes. `buf` is contribution in / result out.
+  void offload(bool in_network, const Comm& c, int tag, int root, void* buf, std::size_t len,
+               bool reduce_phase, net::Combine combine);
 
   void start_send_common(mpci::SendReq& req, const void* buf, std::size_t bytes, int dst,
                          int tag, const Comm& c, mpci::Mode mode, bool blocking);
@@ -243,7 +248,8 @@ class Mpi {
   /// Buffered sends without a user-visible request, kept until drained.
   std::list<std::unique_ptr<mpci::SendReq>> orphans_;
   std::function<void(bool)> interrupt_hook_;
-  net::CombiningEngine* combining_ = nullptr;
+  hal::RdmaNic* nic_;
+  net::CombiningEngine* combining_;
   optrace::Recorder* rec_ = nullptr;
   /// Nesting depth of public Mpi calls; only depth-0 entries record.
   int rec_depth_ = 0;

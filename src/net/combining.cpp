@@ -32,7 +32,6 @@ CombiningEngine::CombiningEngine(sim::Simulator& sim, const sim::MachineConfig& 
                                  const Topology& topo)
     : sim_(sim),
       cfg_(cfg),
-      topo_(topo),
       radix_(combining_radix(cfg, topo.kind())),
       rng_(cfg.fabric_seed, kInnetRngStream) {}
 
@@ -55,7 +54,7 @@ void CombiningEngine::note_table(std::int64_t delta) noexcept {
   table_peak_ = std::max(table_peak_, table_live_);
 }
 
-CombiningEngine::Instance& CombiningEngine::open(Key k, const Op& op) {
+CombiningEngine::Instance& CombiningEngine::open(Key k, const CollOp& op) {
   auto it = table_.find(k);
   if (it != table_.end()) return it->second;
   Instance inst;
@@ -86,7 +85,7 @@ CombiningEngine::Instance& CombiningEngine::open(Key k, const Op& op) {
   return table_.emplace(k, std::move(inst)).first->second;
 }
 
-void CombiningEngine::start(Op&& op) {
+void CombiningEngine::start(CollOp&& op) {
   const Key k = key(op.ctx, op.seq);
   Instance& inst = open(k, op);
   assert(op.rank >= 0 && op.rank < inst.nranks);
@@ -163,7 +162,6 @@ void CombiningEngine::element_complete(Key k, int level, int elem) {
     ++combines_;
   }
   e.stash.clear();
-  e.forwarded = true;
   note_table(-1);
   if (telemetry_ != nullptr) {
     // Attribute the fold to the lowest-rank node the element covers.
@@ -215,7 +213,7 @@ void CombiningEngine::root_done(Key k, std::vector<std::byte>&& result) {
     telemetry_->emit(sim_.now(), inst.tasks[0], sim::Ev::kInnetReplicate,
                      static_cast<std::uint64_t>(fanout), inst.len);
   }
-  if (inst.delivered == inst.nranks) retire(k, inst);
+  if (inst.delivered == inst.nranks) table_.erase(k);
 }
 
 void CombiningEngine::deliver(Key k, int rank) {
@@ -243,11 +241,9 @@ void CombiningEngine::finish(Key k, int rank) {
   auto done = std::move(slot.on_done);
   const bool last = inst.delivered == inst.nranks &&
                     (inst.result_ready || !inst.reduce_phase);
-  if (last && inst.result_ready) retire(k, inst);
+  if (last && inst.result_ready) table_.erase(k);
   if (done) done();
 }
-
-void CombiningEngine::retire(Key k, Instance&) { table_.erase(k); }
 
 void CombiningEngine::transfer(sim::TimeNs delay, std::function<void()> fn) {
   sim::TimeNs t = delay;

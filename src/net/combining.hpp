@@ -38,6 +38,7 @@
 #include <memory>
 #include <vector>
 
+#include "net/coll_op.hpp"
 #include "net/topology.hpp"
 #include "sim/config.hpp"
 #include "sim/rng.hpp"
@@ -48,37 +49,13 @@ namespace sp::net {
 
 class CombiningEngine {
  public:
-  /// Rank-order combine: fold `from` (the higher-rank operand) into `into`.
-  using Combine = std::function<void(std::byte* into, const std::byte* from, std::size_t len)>;
-
-  /// One rank's share of one collective. Every member of (ctx, seq) must post
-  /// the same shape (nranks, len, root, reduce_phase); `seq` is the per-call
-  /// collective tag, identical across the communicator by the tag discipline.
-  struct Op {
-    std::uint32_t ctx = 0;
-    std::uint32_t seq = 0;
-    int rank = 0;                ///< Caller's communicator rank.
-    int root = 0;                ///< Bcast root (ignored for reduce_phase).
-    std::vector<int> tasks;      ///< Comm members as world task ids, rank order.
-    std::byte* buf = nullptr;    ///< Contribution in, result out (len bytes).
-    std::size_t len = 0;
-    bool reduce_phase = true;    ///< true: allreduce/barrier; false: bcast.
-    Combine combine;             ///< Null for barrier/bcast (pure replication).
-    std::function<void()> on_done;  ///< Invoked in event context at completion.
-  };
-
   CombiningEngine(sim::Simulator& sim, const sim::MachineConfig& cfg, const Topology& topo);
 
   void set_telemetry(sim::Telemetry* t) noexcept { telemetry_ = t; }
 
   /// Post one rank's share. Completion (`on_done`) always arrives via a
   /// scheduled event, never synchronously.
-  void start(Op&& op);
-
-  /// Switch radix the combining tree uses on this topology (the element
-  /// down-arity: SP/fat-tree leaf arity, torus quadrant, dragonfly router).
-  [[nodiscard]] int radix() const noexcept { return radix_; }
-  [[nodiscard]] sim::TopologyKind topology_kind() const noexcept { return topo_.kind(); }
+  void start(CollOp&& op);
 
   // --- statistics ----------------------------------------------------------
   /// Completed collectives.
@@ -100,7 +77,6 @@ class CombiningEngine {
   struct Element {
     int nchildren = 0;
     int seen = 0;
-    bool forwarded = false;
     /// Fixed child-port stash, one slot per child, folded left-to-right only
     /// once every slot is filled (the determinism invariant).
     std::vector<bool> present;
@@ -134,14 +110,13 @@ class CombiningEngine {
     return (static_cast<Key>(ctx) << 32) | seq;
   }
 
-  Instance& open(Key k, const Op& op);
+  Instance& open(Key k, const CollOp& op);
   void contribute(Key k, int level, int elem, int slot,
                   std::shared_ptr<std::vector<std::byte>> data);
   void element_complete(Key k, int level, int elem);
   void root_done(Key k, std::vector<std::byte>&& result);
   void deliver(Key k, int rank);
   void finish(Key k, int rank);
-  void retire(Key k, Instance& inst);
 
   /// Schedule `fn` after `delay`, drawing drop/jitter/dup faults from the
   /// engine's private stream (fixed order; no draws when the rates are 0).
@@ -149,15 +124,11 @@ class CombiningEngine {
 
   [[nodiscard]] sim::TimeNs wire_ns(std::size_t bytes) const noexcept;
   [[nodiscard]] sim::TimeNs fold_ns(int children, std::size_t bytes) const noexcept;
-  [[nodiscard]] int up_depth(const Instance& inst) const noexcept {
-    return static_cast<int>(inst.levels.size());
-  }
   void note_table(std::int64_t delta) noexcept;
 
   sim::Simulator& sim_;
   const sim::MachineConfig& cfg_;
-  const Topology& topo_;
-  int radix_;
+  int radix_;  ///< Element down-arity: SP/fat-tree leaf, torus quadrant, router.
   std::map<Key, Instance> table_;
   sim::Pcg32 rng_;
   sim::Telemetry* telemetry_ = nullptr;

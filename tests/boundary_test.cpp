@@ -4,6 +4,7 @@
 // backend — the classic home of off-by-one reassembly bugs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -150,8 +151,11 @@ TEST(CollEdge, InNetworkSelfCommKeepsTagsAligned) {
 TEST(CollEdge, InNetworkCapStraddleFallsBackCleanly) {
   // Vectors one element under, at, and over in_network_coll_max_bytes: the
   // over-cap call must fall back to the host engine on every rank (no rank
-  // may disagree about the path) and all three must reduce correctly.
+  // may disagree about the path) and all three must reduce correctly. With
+  // telemetry on, each call must count exactly one algorithm per rank: the
+  // over-cap fallback opens no in-network span before its host one.
   sim::MachineConfig cfg = innet_cfg();
+  cfg.telemetry_enabled = true;
   const std::size_t cap = cfg.in_network_coll_max_bytes / sizeof(long);
   Machine m(cfg, 4, Backend::kLapiEnhanced);
   m.run([&](Mpi& mpi) {
@@ -170,10 +174,30 @@ TEST(CollEdge, InNetworkCapStraddleFallsBackCleanly) {
         if (out[i] != want) ++bad;
       }
       EXPECT_EQ(bad, 0u) << "count=" << count << " rank=" << w.rank();
+      std::vector<long> b(count, w.rank() == 0 ? 7 : -1);
+      mpi.bcast(b.data(), count, Datatype::kLong, 0, w);
+      EXPECT_EQ(std::count(b.begin(), b.end(), 7L), static_cast<long>(count));
     }
   });
   const auto s = m.stats();
-  EXPECT_GT(s.innet_collectives, 0);  // the two in-cap calls went in-network
+  EXPECT_GT(s.innet_collectives, 0);  // the in-cap calls went in-network
+  const sim::Telemetry& t = *m.telemetry();
+  auto total = [&t](std::initializer_list<sim::CollAlgo> algos) {
+    std::uint64_t sum = 0;
+    for (sim::CollAlgo a : algos) sum += t.coll_count_total(a);
+    return sum;
+  };
+  using A = sim::CollAlgo;
+  // 3 calls of each primitive on 4 ranks; two fit the table, one falls back.
+  EXPECT_EQ(total({A::kAllreduceInNetwork}), 8u);
+  EXPECT_EQ(total({A::kAllreduceReduceBcast, A::kAllreduceRecursiveDoubling,
+                   A::kAllreduceRabenseifner, A::kAllreduceNicOffload,
+                   A::kAllreduceInNetwork}),
+            12u);
+  EXPECT_EQ(total({A::kBcastInNetwork}), 8u);
+  EXPECT_EQ(total({A::kBcastBinomial, A::kBcastPipelined, A::kBcastScatterAllgather,
+                   A::kBcastNicOffload, A::kBcastInNetwork}),
+            12u);
 }
 
 }  // namespace

@@ -128,8 +128,8 @@ std::uint64_t run_cell(const Row& r, int n, std::size_t bytes, std::uint64_t h) 
   return h;
 }
 
-// Captured at the commit before coll::plan replaced the per-primitive
-// selection and fallback code; the dispatch refactor must not move any row.
+// A row moves only when a call in it runs a different algorithm or charges a
+// different cost; re-capture a row only for an intended dispatch change.
 const std::map<std::string, std::uint64_t>& goldens() {
   static const std::map<std::string, std::uint64_t> g = {
       {"allreduce_auto_native_mask0_long", 0x39077a7146d692eULL},
@@ -288,6 +288,48 @@ INSTANTIATE_TEST_SUITE_P(Rows, DispatchGrid, ::testing::ValuesIn(grid_rows()),
                          [](const ::testing::TestParamInfo<Row>& info) {
                            return row_name(info.param);
                          });
+
+// --- coll::plan itself: the declines the grid exercises end to end ----------
+
+TEST(Plan, OffloadPinOverItsCapTakesTheHostAutoTable) {
+  MachineConfig cfg;
+  ASSERT_TRUE(coll::apply_algo_spec(cfg, "bcast=in_network,allreduce=nic", nullptr));
+  const coll::Caps both{true, true};
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kBcast, 2048, 4, Datatype::kByte, both),
+            static_cast<int>(coll::BcastAlgo::kInNetwork));
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kBcast, 2049, 4, Datatype::kByte, both),
+            static_cast<int>(coll::BcastAlgo::kBinomial));
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kAllreduce, 2048, 4, Datatype::kDouble, both),
+            static_cast<int>(coll::AllreduceAlgo::kNicOffload));
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kAllreduce, 64 * 1024, 4, Datatype::kDouble, both),
+            static_cast<int>(coll::AllreduceAlgo::kRabenseifner));
+  // No engine, or a single rank: the host table, whatever the pin.
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kBcast, 8, 4, Datatype::kByte, {}),
+            static_cast<int>(coll::BcastAlgo::kBinomial));
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kAllreduce, 8, 1, Datatype::kLong, both),
+            static_cast<int>(coll::AllreduceAlgo::kRecursiveDoubling));
+}
+
+TEST(Plan, AutoPrefersSwitchThenAdapterAndOffloadsOnlyExactAllreduce) {
+  MachineConfig cfg;
+  const coll::Caps both{true, true};
+  // Mask off: the adapter; mask on: the switch.
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kBarrier, 0, 4, Datatype::kByte, both),
+            static_cast<int>(coll::BarrierAlgo::kNicOffload));
+  cfg.in_network_topology_mask = 1u << static_cast<int>(cfg.topology);
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kBarrier, 0, 4, Datatype::kByte, both),
+            static_cast<int>(coll::BarrierAlgo::kInNetwork));
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kAllreduce, 64, 4, Datatype::kLong, both),
+            static_cast<int>(coll::AllreduceAlgo::kInNetwork));
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kAllreduce, 64, 4, Datatype::kDouble, both),
+            static_cast<int>(coll::AllreduceAlgo::kRecursiveDoubling));
+  // Over the switch cap but the adapter's cap is raised: the adapter.
+  cfg.rdma_nic_coll_max_bytes = 8192;
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kBcast, 4096, 4, Datatype::kByte, both),
+            static_cast<int>(coll::BcastAlgo::kNicOffload));
+  EXPECT_EQ(coll::plan(cfg, coll::Primitive::kBarrier, 0, 4, Datatype::kByte, {}),
+            static_cast<int>(coll::BarrierAlgo::kDissemination));
+}
 
 }  // namespace
 }  // namespace sp::mpi

@@ -348,25 +348,35 @@ TEST(TopologyMpi, ResultsIdenticalAcrossTopologies) {
 
 // --- topology-keyed collective selection -----------------------------------
 
+/// What a bcast / allreduce call runs on a rank with no offload engine.
+mpi::coll::BcastAlgo plan_bcast(const MachineConfig& cfg, std::size_t bytes, int n) {
+  return static_cast<mpi::coll::BcastAlgo>(mpi::coll::plan(
+      cfg, mpi::coll::Primitive::kBcast, bytes, n, mpi::Datatype::kByte, {}));
+}
+mpi::coll::AllreduceAlgo plan_allreduce(const MachineConfig& cfg, std::size_t bytes, int n) {
+  return static_cast<mpi::coll::AllreduceAlgo>(mpi::coll::plan(
+      cfg, mpi::coll::Primitive::kAllreduce, bytes, n, mpi::Datatype::kDouble, {}));
+}
+
 TEST(TopologySelection, TorusPrefersPipelinedBcastEarlier) {
   MachineConfig sp_cfg;
   MachineConfig torus = config_for(TopologyKind::kTorus3d);
   // 48 KiB at 16 ranks: scatter-allgather on the crossbar, but the torus
   // halves the pipeline cutover and always streams the neighbor chain.
-  EXPECT_EQ(mpi::coll::select_bcast(sp_cfg, 48 * 1024, 16),
+  EXPECT_EQ(plan_bcast(sp_cfg, 48 * 1024, 16),
             mpi::coll::BcastAlgo::kScatterAllgather);
-  EXPECT_EQ(mpi::coll::select_bcast(torus, 48 * 1024, 16), mpi::coll::BcastAlgo::kPipelined);
+  EXPECT_EQ(plan_bcast(torus, 48 * 1024, 16), mpi::coll::BcastAlgo::kPipelined);
   // 20 KiB sits under the SP cutover but above the torus's halved one.
-  EXPECT_EQ(mpi::coll::select_bcast(sp_cfg, 20 * 1024, 16), mpi::coll::BcastAlgo::kBinomial);
-  EXPECT_EQ(mpi::coll::select_bcast(torus, 20 * 1024, 16), mpi::coll::BcastAlgo::kPipelined);
+  EXPECT_EQ(plan_bcast(sp_cfg, 20 * 1024, 16), mpi::coll::BcastAlgo::kBinomial);
+  EXPECT_EQ(plan_bcast(torus, 20 * 1024, 16), mpi::coll::BcastAlgo::kPipelined);
 }
 
 TEST(TopologySelection, FatTreeLowersRabenseifnerCutover) {
   MachineConfig sp_cfg;
   MachineConfig ft = config_for(TopologyKind::kFatTree);
-  EXPECT_EQ(mpi::coll::select_allreduce(sp_cfg, 12 * 1024, 16),
+  EXPECT_EQ(plan_allreduce(sp_cfg, 12 * 1024, 16),
             mpi::coll::AllreduceAlgo::kRecursiveDoubling);
-  EXPECT_EQ(mpi::coll::select_allreduce(ft, 12 * 1024, 16),
+  EXPECT_EQ(plan_allreduce(ft, 12 * 1024, 16),
             mpi::coll::AllreduceAlgo::kRabenseifner);
 }
 
@@ -381,7 +391,7 @@ TEST(TopologySelection, DragonflyRaisesBruckBlockCeiling) {
 TEST(TopologySelection, PinsOverrideTopologyRules) {
   MachineConfig torus = config_for(TopologyKind::kTorus2d);
   torus.coll_bcast_algo = static_cast<int>(mpi::coll::BcastAlgo::kBinomial);
-  EXPECT_EQ(mpi::coll::select_bcast(torus, 1 << 20, 16), mpi::coll::BcastAlgo::kBinomial);
+  EXPECT_EQ(plan_bcast(torus, 1 << 20, 16), mpi::coll::BcastAlgo::kBinomial);
 }
 
 TEST(TopologySelection, CutoverDifferenceExercisedEndToEnd) {
