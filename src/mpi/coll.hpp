@@ -43,7 +43,7 @@ namespace sp::mpi::coll {
 // MachineConfig cutover table); the MachineConfig pins store these as ints.
 // Two ids are offload engines rather than host decompositions, with the same
 // value on every primitive: kNicOffload = 4 runs the operation on the RDMA
-// adapter (DESIGN.md §14.4) and kInNetwork = 5 in the switch combining
+// adapter (DESIGN.md §14.3) and kInNetwork = 5 in the switch combining
 // tables (net::CombiningEngine, DESIGN.md §16).
 enum class BcastAlgo : int {
   kAuto = 0, kBinomial, kPipelined, kScatterAllgather, kNicOffload, kInNetwork

@@ -721,7 +721,7 @@ void Mpi::barrier(const Comm& c) {
   const int tag = coll_tag();
   if (n <= 1) return;
   const int me = c.rank();
-  // Offloaded barrier (DESIGN.md §14.4, §16): a zero-byte reduce phase
+  // Offloaded barrier (DESIGN.md §14.3, §16): a zero-byte reduce phase
   // through the adapter's or the switch's combining tree.
   const auto algo = static_cast<coll::BarrierAlgo>(plan(coll::Primitive::kBarrier, 0, n,
                                                         Datatype::kByte));

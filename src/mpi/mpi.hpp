@@ -84,7 +84,7 @@ class Request {
 class Mpi {
  public:
   /// `nic` and `combining` are the collective offload engines this rank can
-  /// reach (DESIGN.md §14.4, §16): the RDMA adapter (null unless the channel
+  /// reach (DESIGN.md §14.3, §16): the RDMA adapter (null unless the channel
   /// runs on one) and the fabric's switch combining tables.
   Mpi(sim::NodeRuntime& node, mpci::Channel& channel, int task_id, int num_tasks,
       hal::RdmaNic* nic, net::CombiningEngine* combining);

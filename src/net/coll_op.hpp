@@ -1,5 +1,5 @@
 // One offloaded collective, as both offload engines take it: the RDMA adapter
-// (hal::RdmaNic, DESIGN.md §14.4) and the switch combining tables
+// (hal::RdmaNic, DESIGN.md §14.3) and the switch combining tables
 // (net::CombiningEngine, DESIGN.md §16). The Mpi layer builds one CollOp per
 // call and hands it to whichever engine coll::plan picked.
 #pragma once
